@@ -2,7 +2,8 @@
 property verification.
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags, 3 domain or
-invariant errors, 4 malformed input JSON, 5 unwritable output.
+invariant errors (including a subdivision above MAX_NODES nodes), 4
+malformed input JSON or unsupported document version, 5 unwritable output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ from .document import (
 )
 from .frequency import DomainError, Frequency
 from .gram import det_scan_min, gram_entries, lower_bound_G, riesz_bounds
-from .subdivision import hermite_to_scalar, masks, scalar_refine_step, subdivide
+from .subdivision import (
+    check_node_budget,
+    hermite_to_scalar,
+    masks,
+    scalar_refine_step,
+    subdivide,
+)
 
 EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 3
@@ -103,6 +110,7 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
         refined = subdivide(curve.freq, data, args.levels)
         _write_text(args.out, dumps_document(refined_document(doc, refined)))
         return 0
+    check_node_budget(len(data), data.periodic, args.levels)
     ctrl = hermite_to_scalar(curve.freq, 0, data)
     for _ in range(args.levels):
         ctrl = scalar_refine_step(ctrl, curve.freq)

@@ -20,6 +20,10 @@ from .curve import ClosedHermiteCurve
 from .frequency import DomainError
 
 
+DOCUMENT_VERSION = 1
+"""The only document version this package reads and writes."""
+
+
 class DocumentFormatError(ValueError):
     """The payload is not a structurally valid curve document."""
 
@@ -51,7 +55,7 @@ class CurveDocument:
 
     @classmethod
     def from_curve(cls, curve: ClosedHermiteCurve) -> "CurveDocument":
-        return cls(1, curve.period, curve.points, curve.tangents)
+        return cls(DOCUMENT_VERSION, curve.period, curve.points, curve.tangents)
 
 
 def format_number(x: float) -> str:
@@ -114,6 +118,11 @@ def loads_document(text: str) -> CurveDocument:
     if not isinstance(payload, dict):
         raise DocumentFormatError("document root must be a JSON object")
     version = _require(payload, "version", int)
+    if version != DOCUMENT_VERSION:
+        raise DocumentFormatError(
+            f"unsupported document version {version!r}; "
+            f"expected {DOCUMENT_VERSION}"
+        )
     period = _require(payload, "M", int)
     mode = _require(payload, "omega0_mode", str)
     points = _point_list(payload, "points")

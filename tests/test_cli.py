@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exphermite import CurveDocument, dumps_document, loads_document, unit_circle
+from exphermite import (
+    CurveDocument,
+    DocumentFormatError,
+    dumps_document,
+    loads_document,
+    unit_circle,
+)
 from exphermite.cli import main, parse_omega0
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -149,6 +155,35 @@ def test_subdivide_malformed_json_exit_four(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["subdivide", str(missing), "--levels", "1"])
     assert info.value.code == 4
+
+
+def test_unknown_document_version_exit_four(tmp_path, capsys):
+    payload = json.loads(write_circle(tmp_path).read_text())
+    payload["version"] = 99
+    text = json.dumps(payload)
+    with pytest.raises(DocumentFormatError, match="version"):
+        loads_document(text)
+    future = tmp_path / "future.json"
+    future.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["subdivide", str(future), "--levels", "1"])
+    assert info.value.code == 4
+    assert "version 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["40", "1000000000000"])
+@pytest.mark.parametrize("scheme", ["vector", "scalar"])
+def test_subdivide_above_node_cap_exit_three(tmp_path, capsys, monkeypatch,
+                                             scheme, levels):
+    path = write_circle(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the node cap was checked")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    code = main(["subdivide", str(path), "--levels", levels, "--scheme", scheme])
+    assert code == 3
+    assert "above the cap" in capsys.readouterr().err
 
 
 def test_subdivide_invariant_violation_exit_three(tmp_path):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from exphermite import (
+    MAX_NODES,
+    DomainError,
     Frequency,
     HermiteData,
     ScalarControl,
@@ -24,6 +26,7 @@ from exphermite import (
     subdivide,
     unit_circle,
 )
+from exphermite.subdivision import check_node_budget
 
 MERRIEN_MINUS = np.array([[0.5, -0.125], [1.5, -0.25]])
 
@@ -165,6 +168,40 @@ def test_subdivide_circle_stays_on_circle_each_level():
         radii = np.linalg.norm(data.values, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-10
     assert len(data) == 8 * 2**5
+
+
+def test_subdivide_error_model_on_ellipse():
+    # values stay within a few eps; the derivative error grows like
+    # c eps 2^L with c < 3 (about 2.3 here at L = 12)
+    eps = np.finfo(float).eps
+    theta = 0.3
+    mat = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]]) @ np.diag([2.0, 1.0])
+    center = np.array([0.25, -0.5])
+    curve = unit_circle(8).affine(mat, center)
+    w = curve.freq.omega0
+    for levels in (4, 8, 12):
+        out = subdivide(curve.freq, curve.to_hermite_data(), levels)
+        t = np.arange(len(out)) * 2.0 ** (-levels)
+        exact = np.column_stack([np.cos(w * t), np.sin(w * t)]) @ mat.T + center
+        slope = w * np.column_stack([-np.sin(w * t), np.cos(w * t)]) @ mat.T
+        value_err = np.linalg.norm(out.values - exact, axis=1).max() / 2.0
+        deriv_err = (np.linalg.norm(out.derivs - slope, axis=1)
+                     / np.linalg.norm(slope, axis=1)).max()
+        assert value_err < 8 * eps
+        assert deriv_err < 3 * eps * 2.0**levels
+
+
+def test_node_cap_boundary():
+    # 8 periodic nodes reach 2^24 = MAX_NODES at 21 levels; 5 open nodes
+    # give 4 * 2^22 + 1 = 2^24 + 1 at 22 levels
+    check_node_budget(8, True, 21)
+    with pytest.raises(DomainError):
+        check_node_budget(8, True, 22)
+    check_node_budget(5, False, 21)
+    with pytest.raises(DomainError):
+        check_node_budget(5, False, 22)
+    assert MAX_NODES == 2**24
 
 
 def test_derivative_consistency_across_levels():
