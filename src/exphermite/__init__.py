@@ -38,16 +38,13 @@ from .document import (
 from .frequency import DomainError, Frequency, FrequencyList, SMALL_FREQ_THRESHOLD
 from .gram import (
     GramEntries,
-    GramMatrix,
     det_scan_min,
     gram_entries,
-    gram_matrix,
     lower_bound_G,
     lower_bound_G_zero_limit,
     riesz_bounds,
 )
 from .greens import (
-    GreenPair,
     annihilate,
     annihilation_weights,
     bspline,
@@ -63,8 +60,6 @@ from .subdivision import (
     masks,
     refinement_mask_general,
     refine_step,
-    scalar_conversion,
-    scalar_conversion_inverse,
     scalar_refine_step,
     scalar_to_hermite,
     subdivide,
@@ -84,8 +79,6 @@ __all__ = [
     "FrequencyList",
     "GeneratorPair",
     "GramEntries",
-    "GreenPair",
-    "GramMatrix",
     "HermiteData",
     "MAX_NODES",
     "MaskTriple",
@@ -102,7 +95,6 @@ __all__ = [
     "dumps_document",
     "endpoint_slope",
     "gram_entries",
-    "gram_matrix",
     "hermite_to_bezier",
     "hermite_to_scalar",
     "loads_document",
@@ -123,8 +115,6 @@ __all__ = [
     "rho",
     "rho_from_phi",
     "riesz_bounds",
-    "scalar_conversion",
-    "scalar_conversion_inverse",
     "scalar_refine_step",
     "scalar_to_hermite",
     "spline_eval",

@@ -67,7 +67,8 @@ class E4Piece:
         w = freq.omega0
         return cls(value0 - c, slope0 - d * w, c, d, freq, value0, slope0)
 
-    def value(self, x: float) -> float:
+    def value(self, x):
+        """The segment at a float x, or elementwise on an array."""
         if self.freq.is_small:
             return self.a + x * (self.b + x * (self.c + x * self.d))
         t = self.freq.omega0 * x
@@ -125,7 +126,7 @@ _CUBIC_G2 = (0.0, 1.0, -2.0, 1.0)   # x(x-1)^2
 _BOUNDARY_TOL = 1e-9
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def make_generators(freq: Frequency) -> GeneratorPair:
     """Construct the generator pair for a frequency in [0, pi].
 
@@ -165,34 +166,35 @@ def make_generators(freq: Frequency) -> GeneratorPair:
     return pair
 
 
-def phi(freq: Frequency, which: int, x: float) -> float:
-    """Evaluate phi1 or phi2 at any real x (zero outside (-1, 1))."""
+def _check_which(which: int) -> None:
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
+
+
+def _extend(piece: E4Piece, odd: bool, x):
+    """A piece on [0, 1] extended evenly (or oddly) to (-1, 1) and by zero
+    outside, at a float or at every entry of an array.  Outside points
+    evaluate the piece at 1 and multiply it by 0."""
     ax = abs(x)
-    if ax >= 1.0:
-        return 0.0
+    inside = ax < 1.0
+    val = piece.value(np.minimum(ax, 1.0))
+    if odd:
+        val = val * (1 - 2 * (x < 0.0))
+    return val * inside
+
+
+def phi(freq: Frequency, which: int, x):
+    """Evaluate phi1 or phi2 at a float or an array (zero outside (-1, 1))."""
+    _check_which(which)
     pair = make_generators(freq)
-    piece = pair.g1 if which == 1 else pair.g2
-    val = piece.value(ax)
-    if which == 2 and x < 0.0:
-        return -val
-    return val
+    return _extend(pair.g1 if which == 1 else pair.g2, which == 2, x)
 
 
-def phi_deriv(freq: Frequency, which: int, x: float) -> float:
+def phi_deriv(freq: Frequency, which: int, x):
     """Derivative of phi1 or phi2; at knots the shared one-sided limit."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    ax = abs(x)
-    if ax >= 1.0:
-        return 0.0
+    _check_which(which)
     pair = make_generators(freq)
-    dpiece = pair.dg1 if which == 1 else pair.dg2
-    val = dpiece.value(ax)
-    if which == 1 and x < 0.0:
-        return -val
-    return val
+    return _extend(pair.dg1 if which == 1 else pair.dg2, which == 1, x)
 
 
 def phi_rescaled(freq: Frequency, h: float, which: int, x: float) -> float:
@@ -237,36 +239,39 @@ class HermiteData:
     def __len__(self) -> int:
         return len(self.values)
 
-    def _index(self, n: int) -> int:
+    def index(self, n) -> np.ndarray:
+        """Sample indices of the integral grid positions n (any shape),
+        wrapped modulo the length when periodic; IndexError outside
+        0..len-1 otherwise."""
+        n = np.asarray(n).astype(np.intp)
         if self.periodic:
             return n % len(self)
-        if not 0 <= n < len(self):
-            raise IndexError(f"sample index {n} outside 0..{len(self) - 1}")
+        bad = n[(n < 0) | (n >= len(self))]
+        if bad.size:
+            raise IndexError(f"sample index {bad[0]} outside 0..{len(self) - 1}")
         return n
 
-    def value(self, n: int) -> np.ndarray | float:
-        return self.values[self._index(n)]
 
-    def deriv(self, n: int) -> np.ndarray | float:
-        return self.derivs[self._index(n)]
-
-
-def spline_eval(
-    freq: Frequency, data: HermiteData, x: float
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Evaluate sum_n (s(n) phi1(x-n) + s'(n) phi2(x-n)) and its derivative.
+def spline_eval(freq: Frequency, data: HermiteData, x):
+    """Evaluate sum_n (s(n) phi1(x-n) + s'(n) phi2(x-n)) and its derivative
+    at a float or at every entry of an array of x.
 
     Only the two shifts bracketing x contribute.  x on [n, n+1) uses the
     segment of that interval; integer x returns the stored sample (the
-    shared C^1 limit equals it by the interpolation conditions).
+    shared C^1 limit equals it by the interpolation conditions).  Results
+    have the shape of x, followed by the point shape for (L, dim) data.
     """
-    n0 = math.floor(x)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("evaluation points must be finite")
+    n0 = np.floor(x)
     t = x - n0
-    if t == 0.0:
-        return data.value(n0), data.deriv(n0)
+    i0, i1 = data.index(n0), data.index(np.ceil(x))
+    # coordinates first, so the weights, shaped like x, broadcast against them
+    values, derivs = data.values.T, data.derivs.T
+    v0, d0 = values[..., i0], derivs[..., i0]
+    v1, d1 = values[..., i1], derivs[..., i1]
     pair = make_generators(freq)
-    v0, d0 = data.value(n0), data.deriv(n0)
-    v1, d1 = data.value(n0 + 1), data.deriv(n0 + 1)
     t1 = 1.0 - t
     value = (
         v0 * pair.g1.value(t) + d0 * pair.g2.value(t)
@@ -276,4 +281,8 @@ def spline_eval(
         v0 * pair.dg1.value(t) + d0 * pair.dg2.value(t)
         - v1 * pair.dg1.value(t1) + d1 * pair.dg2.value(t1)
     )
-    return value, deriv
+    at_node = t == 0.0
+    coords = range(data.values.ndim - 1)
+    last = range(-len(coords), 0)
+    return (np.moveaxis(np.where(at_node, v0, value), coords, last)[()],
+            np.moveaxis(np.where(at_node, d0, deriv), coords, last)[()])

@@ -60,7 +60,7 @@ _CUBIC_BERNSTEIN = (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def bernstein_basis(freq: Frequency) -> BernsteinBasis:
     """Construct b0..b3.
 
@@ -86,11 +86,12 @@ def bernstein_basis(freq: Frequency) -> BernsteinBasis:
     return BernsteinBasis((b0, b1, b2, b3), freq, lam, kappa)
 
 
-def bernstein(freq: Frequency, ell: int, x: float) -> float:
-    """Evaluate the ell-th Bernstein piece at x in [0, 1]."""
+def bernstein(freq: Frequency, ell: int, x):
+    """Evaluate the ell-th Bernstein piece at x in [0, 1], a float or an
+    array."""
     if ell not in (0, 1, 2, 3):
         raise ValueError(f"ell must be in 0..3, got {ell!r}")
-    if not 0.0 <= x <= 1.0:
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError(f"bernstein argument must lie in [0, 1], got {x!r}")
     return bernstein_basis(freq).pieces[ell].value(x)
 
@@ -107,10 +108,15 @@ class BezierSegment:
     p3: float | np.ndarray
     freq: Frequency
 
-    def value(self, t: float) -> float | np.ndarray:
-        basis = bernstein_basis(self.freq)
-        b = [piece.value(t) for piece in basis.pieces]
-        return self.p0 * b[0] + self.p1 * b[1] + self.p2 * b[2] + self.p3 * b[3]
+    def value(self, t):
+        """The segment at local parameter t, a float or an array; control
+        points of shape s give results of shape t.shape + s."""
+        pieces = bernstein_basis(self.freq).pieces
+        b0, b1, b2, b3 = (piece.value(t) for piece in pieces)
+        return (
+            np.multiply.outer(b0, self.p0) + np.multiply.outer(b1, self.p1)
+            + np.multiply.outer(b2, self.p2) + np.multiply.outer(b3, self.p3)
+        )
 
 
 def hermite_to_bezier(

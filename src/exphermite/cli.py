@@ -2,7 +2,7 @@
 property verification.
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags, 3 domain or
-invariant errors (including a subdivision above MAX_NODES nodes), 4
+invariant errors (including output above MAX_OUTPUT_ROWS rows), 4
 malformed input JSON or unsupported document version, 5 unwritable output.
 """
 
@@ -14,6 +14,7 @@ import re
 import sys
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import __version__
 from .basis import phi, phi_deriv
@@ -22,6 +23,7 @@ from .document import (
     CurveDocument,
     DocumentFormatError,
     dumps_document,
+    dumps_scalar_document,
     format_number,
     loads_document,
     refined_document,
@@ -41,6 +43,12 @@ EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 3
 EXIT_BAD_JSON = 4
 EXIT_UNWRITABLE = 5
+
+MAX_OUTPUT_ROWS = 2**20
+"""Most rows of text one command writes: subdivided nodes (vector scheme)
+or control points (scalar scheme), SVG path points, or CSV samples.  At
+about 100 bytes a row this is some 100 MB of text; larger requests exit
+with code 3 before anything is allocated."""
 
 _PI_FORM = re.compile(r"^(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECASE)
 
@@ -86,18 +94,28 @@ def _load_document(path: str) -> CurveDocument:
         raise SystemExit(EXIT_BAD_JSON) from exc
 
 
+def _check_rows(rows: int, what: str) -> None:
+    if rows > MAX_OUTPUT_ROWS:
+        raise DomainError(
+            f"{what} asks for {rows} rows, above the cap of "
+            f"{MAX_OUTPUT_ROWS} output rows"
+        )
+
+
 def cmd_basis(args: argparse.Namespace) -> int:
     freq = Frequency(args.omega0)
     lo, hi = args.range
     if args.samples < 2:
         raise DomainError(f"samples must be >= 2, got {args.samples}")
+    _check_rows(args.samples, "--samples")
     if hi <= lo:
         raise DomainError(f"range upper bound {hi} must exceed lower bound {lo}")
     evaluate = phi_deriv if args.deriv else phi
+    xs = np.linspace(lo, hi, args.samples)
+    values = evaluate(freq, args.which, xs)
     rows = ["x,value"]
-    for x in np.linspace(lo, hi, args.samples):
-        value = evaluate(freq, args.which, float(x))
-        rows.append(f"{format_number(x)},{format_number(value)}")
+    rows.extend(f"{format_number(x)},{format_number(value)}"
+                for x, value in zip(xs.tolist(), values.tolist()))
     _write_text(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -107,32 +125,22 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
     curve = doc.curve()
     data = curve.to_hermite_data()
     if args.scheme == "vector":
+        check_node_budget(len(data), data.periodic, args.levels, MAX_OUTPUT_ROWS)
         refined = subdivide(curve.freq, data, args.levels)
         _write_text(args.out, dumps_document(refined_document(doc, refined)))
         return 0
-    check_node_budget(len(data), data.periodic, args.levels)
+    # two control points, so two output rows, per node
+    check_node_budget(len(data), data.periodic, args.levels, MAX_OUTPUT_ROWS // 2)
     ctrl = hermite_to_scalar(curve.freq, 0, data)
     for _ in range(args.levels):
         ctrl = scalar_refine_step(ctrl, curve.freq)
-    body = ",\n    ".join(
-        f"[{format_number(x)}, {format_number(y)}]"
-        for x, y in np.atleast_2d(ctrl.points)
-    )
-    text = (
-        "{\n"
-        f'  "version": {doc.version},\n'
-        f'  "M": {doc.period},\n'
-        f'  "scheme": "scalar",\n'
-        f'  "level": {ctrl.level},\n'
-        f'  "control_points": [\n    {body}\n  ]\n'
-        "}\n"
-    )
-    _write_text(args.out, text)
+    _write_text(args.out, dumps_scalar_document(doc, ctrl))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     doc = _load_document(args.input)
+    _check_rows(doc.period * args.samples_per_span, "--samples-per-span")
     svg = render_svg(doc, samples_per_span=args.samples_per_span,
                      handles=args.handles)
     _write_text(args.out, svg)
@@ -181,16 +189,22 @@ def _suite_masks(freq: Frequency) -> list[dict]:
     ]
 
 
-def _suite_gram(freq: Frequency) -> list[dict]:
-    from scipy.integrate import quad
+_GAUSS_NODES = 20
 
+
+def _suite_gram(freq: Frequency) -> list[dict]:
     g = gram_entries(freq)
+    # Gauss-Legendre on [0, 1], where each generator is one smooth segment
+    nodes, weights = leggauss(_GAUSS_NODES)
+    x, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    p1, p2 = phi(freq, 1, x), phi(freq, 2, x)
+    q1, q2 = phi(freq, 1, x - 1.0), phi(freq, 2, x - 1.0)
     pairs = {
-        "a": (g.a, quad(lambda x: phi(freq, 1, x) * phi(freq, 1, x - 1), 0, 1)[0]),
-        "b": (g.b, 2 * quad(lambda x: phi(freq, 1, x) ** 2, 0, 1)[0]),
-        "c": (g.c, quad(lambda x: phi(freq, 1, x) * phi(freq, 2, x - 1), 0, 1)[0]),
-        "d": (g.d, quad(lambda x: phi(freq, 2, x) * phi(freq, 2, x - 1), 0, 1)[0]),
-        "e": (g.e, 2 * quad(lambda x: phi(freq, 2, x) ** 2, 0, 1)[0]),
+        "a": (g.a, weights @ (p1 * q1)),
+        "b": (g.b, 2 * weights @ (p1 * p1)),
+        "c": (g.c, weights @ (p1 * q2)),
+        "d": (g.d, weights @ (p2 * q2)),
+        "e": (g.e, 2 * weights @ (p2 * p2)),
     }
     out = []
     for name, (closed, numeric) in pairs.items():

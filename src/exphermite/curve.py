@@ -55,10 +55,10 @@ class ClosedHermiteCurve:
     def to_hermite_data(self) -> HermiteData:
         return self._data
 
-    def eval(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Point and tangent at parameter t (wrapped modulo the period)."""
-        t = t % self.period
-        value, deriv = spline_eval(self.freq, self._data, t)
+    def eval(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Point and tangent at parameter t (wrapped modulo the period); an
+        array of n parameters gives (n, 2) points and tangents."""
+        value, deriv = spline_eval(self.freq, self._data, np.mod(t, self.period))
         return np.asarray(value), np.asarray(deriv)
 
     def affine(self, matrix: np.ndarray, shift: np.ndarray) -> "ClosedHermiteCurve":
@@ -80,10 +80,10 @@ def unit_circle(period: int) -> ClosedHermiteCurve:
 
 
 _TARGETS = {
-    "const": (lambda w, x: 1.0, lambda w, x: 0.0),
-    "linear": (lambda w, x: x, lambda w, x: 1.0),
-    "cos": (lambda w, x: math.cos(w * x), lambda w, x: -w * math.sin(w * x)),
-    "sin": (lambda w, x: math.sin(w * x), lambda w, x: w * math.cos(w * x)),
+    "const": (lambda w, x: np.ones_like(x), lambda w, x: np.zeros_like(x)),
+    "linear": (lambda w, x: x, lambda w, x: np.ones_like(x)),
+    "cos": (lambda w, x: np.cos(w * x), lambda w, x: -w * np.sin(w * x)),
+    "sin": (lambda w, x: np.sin(w * x), lambda w, x: w * np.cos(w * x)),
 }
 
 _WINDOW = 10          # samples on -10..10
@@ -103,13 +103,8 @@ def reproduction_check(freq: Frequency, target: str) -> float:
         raise ValueError(f"unknown target {target!r}; pick one of {sorted(_TARGETS)}")
     f, df = _TARGETS[target]
     w = freq.omega0
-    ns = np.arange(-_WINDOW, _WINDOW + 1)
-    data = HermiteData(
-        np.array([f(w, float(n)) for n in ns]),
-        np.array([df(w, float(n)) for n in ns]),
-    )
-    worst = 0.0
-    for x in np.linspace(-_CHECK_LIMIT, _CHECK_LIMIT, _CHECK_COUNT):
-        value, _ = spline_eval(freq, data, float(x) + _WINDOW)
-        worst = max(worst, abs(float(value) - f(w, float(x))))
-    return worst
+    ns = np.arange(-_WINDOW, _WINDOW + 1, dtype=float)
+    data = HermiteData(f(w, ns), df(w, ns))
+    xs = np.linspace(-_CHECK_LIMIT, _CHECK_LIMIT, _CHECK_COUNT)
+    value, _ = spline_eval(freq, data, xs + _WINDOW)
+    return float(np.max(np.abs(value - f(w, xs))))

@@ -83,6 +83,25 @@ def dumps_document(doc: CurveDocument) -> str:
     )
 
 
+def dumps_scalar_document(doc: CurveDocument, ctrl) -> str:
+    """Serialize the scalar-scheme control polygon ``ctrl`` (a
+    ScalarControl) refined from ``doc``: one control point per line, in the
+    number format of dumps_document."""
+    body = ",\n    ".join(
+        f"[{format_number(x)}, {format_number(y)}]"
+        for x, y in np.atleast_2d(ctrl.points)
+    )
+    return (
+        "{\n"
+        f'  "version": {doc.version},\n'
+        f'  "M": {doc.period},\n'
+        f'  "scheme": "scalar",\n'
+        f'  "level": {ctrl.level},\n'
+        f'  "control_points": [\n    {body}\n  ]\n'
+        "}\n"
+    )
+
+
 def _require(payload: dict, key: str, kinds) -> object:
     if key not in payload:
         raise DocumentFormatError(f"missing document key {key!r}")
@@ -163,9 +182,10 @@ def _fit(points: np.ndarray):
     center = 0.5 * (lo + hi)
 
     def to_px(p):
-        x = VIEWPORT / 2.0 + (p[0] - center[0]) * scale
-        y = VIEWPORT / 2.0 - (p[1] - center[1]) * scale
-        return x, y
+        """(n, 2) data points to (n, 2) pixel coordinates."""
+        x = VIEWPORT / 2.0 + (p[..., 0] - center[0]) * scale
+        y = VIEWPORT / 2.0 - (p[..., 1] - center[1]) * scale
+        return np.stack([x, y], axis=-1)
 
     return to_px
 
@@ -185,11 +205,9 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
         )
     curve = doc.curve()
     m = curve.period
-    ts = np.arange(m * samples_per_span) / samples_per_span
-    samples = np.array([curve.eval(float(t))[0] for t in ts])
+    samples, _ = curve.eval(np.arange(m * samples_per_span) / samples_per_span)
     to_px = _fit(samples)
-
-    coords = [to_px(p) for p in samples]
+    coords = to_px(samples).tolist()
     path = "M " + " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords) + " Z"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -200,12 +218,12 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
     ]
     if handles:
         arm = 0.008 * VIEWPORT
-        for point, tangent in zip(doc.points, doc.tangents):
-            x, y = to_px(point)
-            tip = to_px(point + tangent)
+        bases = to_px(doc.points).tolist()
+        tips = to_px(doc.points + doc.tangents).tolist()
+        for (x, y), (tip_x, tip_y) in zip(bases, tips):
             lines.append(
                 f'<line class="handle" x1="{_fmt(x)}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(tip[0])}" y2="{_fmt(tip[1])}" '
+                f'x2="{_fmt(tip_x)}" y2="{_fmt(tip_y)}" '
                 f'stroke="steelblue" stroke-width="1.5"/>'
             )
             lines.append(

@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Below this threshold the exact cubic-Hermite limit formulas are used
 # everywhere instead of the trigonometric closed forms.
 SMALL_FREQ_THRESHOLD = 1e-4
 
 _SERIES_CUTOFF = 0.9
+_SERIES_TERMS = 10
 
 
 class DomainError(ValueError):
@@ -73,44 +76,54 @@ class FrequencyList:
         return len(self.freqs)
 
 
-def x_minus_sin(t: float) -> float:
-    """t - sin(t) with eps-level relative accuracy (series below the cutoff)."""
-    if abs(t) >= _SERIES_CUTOFF:
-        return t - math.sin(t)
-    # t^3/6 - t^5/120 + t^7/5040 - ...
-    t2 = t * t
-    term = t * t2 / 6.0
+def _stable(t, first, steps, direct):
+    """Series below the cutoff, ``direct`` at or above it, elementwise.
+
+    Each branch runs on all of t with the arguments outside its range
+    replaced by 0, where both branches vanish, so their sum is the selected
+    branch.  The series is t^3 / first plus one term per (num, den) step,
+    each the previous term times -t^2 num / den, summed largest first.
+    Below the cutoff every term after the tenth is under 4e-19 of the sum,
+    far below half an ulp, so this fixed length gives the same bits as
+    summing until the terms vanish.
+    """
+    small = t * (abs(t) < _SERIES_CUTOFF)
+    large = t - small
+    t2 = small * small
+    term = small * t2 / first
     total = term
-    k = 1
-    while True:
-        term *= -t2 / ((2 * k + 2) * (2 * k + 3))
-        total += term
-        k += 1
-        if abs(term) <= 1e-18 * abs(total):
-            return total
+    for num, den in steps:
+        term = term * (-t2 * num / den)
+        total = total + term
+    return total + direct(large)
 
 
-def one_minus_cos(t: float) -> float:
+# t^3/6 - t^5/120 + t^7/5040 - ...
+_X_MINUS_SIN_STEPS = tuple(
+    (1, (2 * k + 2) * (2 * k + 3)) for k in range(1, _SERIES_TERMS)
+)
+# sum_k (-1)^(k+1) 2k t^(2k+1) / (2k+1)!, leading term t^3/3
+_SIN_MINUS_X_COS_STEPS = tuple(
+    (k + 1, k * (2 * k + 2) * (2 * k + 3)) for k in range(1, _SERIES_TERMS)
+)
+
+
+def x_minus_sin(t):
+    """t - sin(t) with eps-level relative accuracy; float or ndarray."""
+    return _stable(t, 6.0, _X_MINUS_SIN_STEPS, lambda u: u - np.sin(u))
+
+
+def one_minus_cos(t):
     """1 - cos(t), evaluated as 2 sin^2(t/2) to avoid cancellation."""
-    s = math.sin(0.5 * t)
+    s = np.sin(0.5 * t)
     return 2.0 * s * s
 
 
-def sin_minus_x_cos(t: float) -> float:
-    """sin(t) - t*cos(t), series below the cutoff (leading term t^3/3)."""
-    if abs(t) >= _SERIES_CUTOFF:
-        return math.sin(t) - t * math.cos(t)
-    t2 = t * t
-    term = t * t2 / 3.0
-    total = term
-    k = 1
-    while True:
-        # (-1)^k * 2(k+1) t^(2k+3) / (2k+3)!
-        term *= -t2 * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
-        total += term
-        k += 1
-        if abs(term) <= 1e-18 * abs(total):
-            return total
+def sin_minus_x_cos(t):
+    """sin(t) - t*cos(t) with eps-level relative accuracy; float or ndarray."""
+    return _stable(
+        t, 3.0, _SIN_MINUS_X_COS_STEPS, lambda u: np.sin(u) - u * np.cos(u)
+    )
 
 
 def s_factor(w: float) -> float:

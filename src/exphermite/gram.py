@@ -15,7 +15,6 @@ from functools import cache, lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .frequency import DomainError, Frequency
 
@@ -42,30 +41,6 @@ class GramEntries:
         return A, B, C
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """The 2x2 Hermitian Fourier symbol at one frequency om:
-    [[2a cos om + b, -2 c i sin om], [2 c i sin om, 2d cos om + e]]."""
-
-    m11: float
-    m22: float
-    m12: complex
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [np.conj(self.m12), self.m22]])
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - abs(self.m12) ** 2
-
-    def eigenvalues(self) -> tuple[float, float]:
-        tr, det = self.trace(), self.det()
-        disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-        return 0.5 * (tr - disc), 0.5 * (tr + disc)
-
-
 def _mp_s(w):
     return 2 * mp.sin(w / 2) - w * mp.cos(w / 2)
 
@@ -88,42 +63,25 @@ def _mp_entries(w):
     return a, b, c, d, e
 
 
-@cache
-def _cubic_limit_entries() -> GramEntries:
-    """Gram constants of the cubic Hermite pair, by quadrature of the limit
-    basis h00(t) = (2t+1)(t-1)^2, h10(t) = t(t-1)^2 on [0, 1]."""
-    h00 = lambda t: (2 * t + 1) * (t - 1) ** 2
-    h10 = lambda t: t * (t - 1) ** 2
-    a = quad(lambda t: h00(t) * h00(1 - t), 0, 1)[0]
-    b = 2.0 * quad(lambda t: h00(t) ** 2, 0, 1)[0]
-    c = -quad(lambda t: h00(t) * h10(1 - t), 0, 1)[0]
-    d = -quad(lambda t: h10(t) * h10(1 - t), 0, 1)[0]
-    e = 2.0 * quad(lambda t: h10(t) ** 2, 0, 1)[0]
-    return GramEntries(a, b, c, d, e)
+# Gram constants of the cubic Hermite pair h00(t) = (2t+1)(t-1)^2,
+# h10(t) = t(t-1)^2, as exact rationals of the integrals on [0, 1].
+_CUBIC_LIMIT_ENTRIES = GramEntries(9 / 70, 26 / 35, -13 / 420, -1 / 140, 2 / 105)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def gram_entries(freq: Frequency) -> GramEntries:
     """Evaluate the five closed-form entries for omega0 in [0, pi]."""
     if freq.is_small:
-        return _cubic_limit_entries()
+        return _CUBIC_LIMIT_ENTRIES
     with mp.workdps(_MP_DPS):
         vals = _mp_entries(mp.mpf(freq.omega0))
         return GramEntries(*(float(v) for v in vals))
 
 
-def gram_matrix(freq: Frequency, omega: float) -> GramMatrix:
-    """Assemble the Hermitian symbol at Fourier frequency omega."""
-    g = gram_entries(freq)
-    co, si = math.cos(omega), math.sin(omega)
-    return GramMatrix(
-        m11=2.0 * g.a * co + g.b,
-        m22=2.0 * g.d * co + g.e,
-        m12=-2.0j * g.c * si,
-    )
-
-
 def _scan(freq: Frequency, grid_size: int):
+    """The Hermitian Fourier symbol [[2a cos om + b, -2 c i sin om],
+    [2 c i sin om, 2d cos om + e]] on a uniform grid of om over [0, pi]:
+    returns om, the determinant and the two eigenvalues."""
     g = gram_entries(freq)
     om = np.linspace(0.0, math.pi, grid_size)
     co = np.cos(om)

@@ -12,7 +12,6 @@ route).  Both routes are implemented and must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,23 +20,6 @@ from .basis import phi
 from .frequency import DomainError, Frequency, FrequencyList, one_minus_cos, s_factor, x_minus_sin
 
 _IMAG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GreenPair:
-    """The two Green's functions of one frequency, as bound methods.
-
-    rho1 is even, rho2 is odd, and rho2 is the pointwise derivative of
-    rho1 away from the origin.
-    """
-
-    freq: Frequency
-
-    def rho1(self, x: float) -> float:
-        return rho(self.freq, 1, x)
-
-    def rho2(self, x: float) -> float:
-        return rho(self.freq, 2, x)
 
 
 def rho(freq: Frequency, which: int, x: float) -> float:

@@ -65,8 +65,8 @@ def masks(freq: Frequency, j: int) -> MaskTriple:
 
 
 MAX_NODES = 2**24
-"""Largest node count ``subdivide`` (and the CLI's scalar scheme) will
-produce.  Vector output of 2^24 plane nodes holds 512 MB of values and
+"""Largest node count ``subdivide`` will produce (the CLI caps its text
+output lower).  Vector output of 2^24 plane nodes holds 512 MB of values and
 derivatives, so this is where a run stops fitting comfortably in memory;
 above it the request is refused before anything is allocated."""
 
@@ -76,15 +76,14 @@ def refined_length(n: int, periodic: bool, levels: int = 1) -> int:
     return n << levels if periodic else ((n - 1) << levels) + 1
 
 
-def check_node_budget(n: int, periodic: bool, levels: int) -> None:
+def check_node_budget(n: int, periodic: bool, levels: int,
+                      cap: int = MAX_NODES) -> None:
     """Raise DomainError if ``levels`` steps on ``n`` nodes would exceed
-    MAX_NODES.  Levels past the cap's bit length are refused without
+    ``cap`` nodes.  Levels past the cap's bit length are refused without
     forming the (possibly huge) node count."""
-    if (levels >= MAX_NODES.bit_length()
-            or refined_length(n, periodic, levels) > MAX_NODES):
+    if levels >= cap.bit_length() or refined_length(n, periodic, levels) > cap:
         raise DomainError(
-            f"{levels} levels on {n} nodes go above the cap of "
-            f"{MAX_NODES} nodes"
+            f"{levels} levels on {n} nodes go above the cap of {cap} nodes"
         )
 
 
@@ -220,22 +219,6 @@ def _conversion_matrix(freq: Frequency, j: int) -> np.ndarray:
     return np.array([[1.0, -offset], [1.0, offset]])
 
 
-def scalar_conversion(freq: Frequency, j: int, value, deriv):
-    """Control-point pair of one node at level j:
-    (value - lam_j 2^-j deriv, value + lam_j 2^-j deriv)."""
-    mat = _conversion_matrix(freq, j)
-    return (
-        mat[0, 0] * value + mat[0, 1] * deriv,
-        mat[1, 0] * value + mat[1, 1] * deriv,
-    )
-
-
-def scalar_conversion_inverse(freq: Frequency, j: int, p_even, p_odd):
-    """Recover (value, derivative) from a node's control-point pair."""
-    offset = _handle_offset(freq, j)
-    return 0.5 * (p_even + p_odd), 0.5 * (p_odd - p_even) / offset
-
-
 def hermite_to_scalar(freq: Frequency, j: int, data: HermiteData) -> ScalarControl:
     """Convert level-j Hermite samples to their Bezier control polygon."""
     step = _handle_offset(freq, j) * data.derivs
@@ -246,13 +229,13 @@ def hermite_to_scalar(freq: Frequency, j: int, data: HermiteData) -> ScalarContr
 
 
 def scalar_to_hermite(freq: Frequency, ctrl: ScalarControl) -> HermiteData:
-    """Inverse of hermite_to_scalar at the control polygon's own level."""
-    pts = ctrl.points.reshape(ctrl.node_count(), 2, -1)
-    inv = np.linalg.inv(_conversion_matrix(freq, ctrl.level))
-    nodes = np.einsum("ij,njd->nid", inv, pts)
-    values, derivs = nodes[:, 0], nodes[:, 1]
-    if ctrl.points.ndim == 1:
-        values, derivs = values[:, 0], derivs[:, 0]
+    """Inverse of hermite_to_scalar at the control polygon's own level: each
+    node's value is the mean of its two control points, its derivative their
+    half difference over the handle offset."""
+    offset = _handle_offset(freq, ctrl.level)
+    incoming, outgoing = ctrl.points[0::2], ctrl.points[1::2]
+    values = 0.5 * (incoming + outgoing)
+    derivs = 0.5 * (outgoing - incoming) / offset
     return HermiteData(values, derivs, periodic=ctrl.periodic)
 
 

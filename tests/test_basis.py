@@ -276,6 +276,41 @@ def test_spline_eval_reproduces_cosine():
     assert deriv == pytest.approx(-w0 * math.sin(0.37 * w0), abs=1e-12)
 
 
+def test_frequency_caches_are_bounded():
+    from exphermite import bernstein_basis, gram_entries
+
+    for cached in (make_generators, gram_entries, bernstein_basis):
+        assert cached.cache_info().maxsize == 1024
+    for k in range(1100):
+        make_generators(Frequency(1.0 + k * 1e-6))
+    info = make_generators.cache_info()
+    assert info.currsize == 1024
+    assert make_generators(Frequency(1.0 + 1099e-6)) is make_generators(
+        Frequency(1.0 + 1099e-6))
+
+
+def test_array_calls_match_scalar_calls():
+    f = Frequency(2.0)
+    xs = np.linspace(-1.5, 1.5, 31)
+    for which in (1, 2):
+        values = phi(f, which, xs)
+        slopes = phi_deriv(f, which, xs)
+        assert values.shape == slopes.shape == xs.shape
+        for x, value, slope in zip(xs.tolist(), values, slopes):
+            assert phi(f, which, x) == value
+            assert phi_deriv(f, which, x) == slope
+    data = HermiteData(np.arange(6.0), np.ones(6))
+    values, derivs = spline_eval(f, data, np.array([[0.5, 1.0], [2.25, 4.75]]))
+    assert values.shape == derivs.shape == (2, 2)
+    assert np.abs(values - [[0.5, 1.0], [2.25, 4.75]]).max() < 1e-13
+
+
+def test_spline_eval_rejects_non_finite_points():
+    data = HermiteData(np.zeros(3), np.zeros(3), periodic=True)
+    with pytest.raises(ValueError):
+        spline_eval(Frequency(1.0), data, np.array([0.5, math.nan]))
+
+
 def test_spline_eval_missing_samples():
     f = Frequency(1.0)
     data = HermiteData(np.zeros(3), np.zeros(3))

@@ -3,6 +3,9 @@ and cross-invocation consistency."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,7 +20,8 @@ from exphermite import (
     loads_document,
     unit_circle,
 )
-from exphermite.cli import main, parse_omega0
+import exphermite.cli as cli
+from exphermite.cli import MAX_OUTPUT_ROWS, main, parse_omega0
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -126,8 +130,15 @@ def test_subdivide_scalar_matches_vector(tmp_path, capsys):
 
     path = write_circle(tmp_path)
     assert main(["subdivide", str(path), "--levels", "2", "--scheme", "scalar"]) == 0
-    scalar = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    scalar = json.loads(text)
     assert scalar["scheme"] == "scalar"
+    # fixed layout: header keys in order, then one control point per line
+    lines = text.split("\n")
+    assert lines[:6] == ['{', '  "version": 1,', '  "M": 8,', '  "scheme": "scalar",',
+                         '  "level": 2,', '  "control_points": [']
+    assert lines[-4:] == [lines[-4], "  ]", "}", ""]
+    assert len(lines) == 6 + 2 * 8 * 4 + 3
     assert main(["subdivide", str(path), "--levels", "2", "--scheme", "vector"]) == 0
     vector = json.loads(capsys.readouterr().out)
 
@@ -184,6 +195,76 @@ def test_subdivide_above_node_cap_exit_three(tmp_path, capsys, monkeypatch,
     code = main(["subdivide", str(path), "--levels", levels, "--scheme", scheme])
     assert code == 3
     assert "above the cap" in capsys.readouterr().err
+
+
+def refuse_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the output cap was checked")
+
+    for name in ("empty", "arange", "linspace"):
+        monkeypatch.setattr(np, name, refuse)
+
+
+# M = 8: 8 * 2^17 = 2^20 vector nodes and 2 * 8 * 2^16 = 2^20 scalar
+# control points are the largest outputs allowed
+@pytest.mark.parametrize("scheme, levels", [("vector", "18"), ("scalar", "17"),
+                                            ("vector", "21"), ("scalar", "21")])
+def test_subdivide_above_output_cap_exit_three(tmp_path, capsys, monkeypatch,
+                                               scheme, levels):
+    path = write_circle(tmp_path)
+    refuse_allocation(monkeypatch)
+    code = main(["subdivide", str(path), "--levels", levels, "--scheme", scheme])
+    assert code == 3
+    assert "above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--omega0", "1.0", "--samples", str(10**12)],
+    ["basis", "--omega0", "1.0", "--samples", str(MAX_OUTPUT_ROWS + 1)],
+])
+def test_basis_above_output_cap_exit_three(capsys, monkeypatch, argv):
+    refuse_allocation(monkeypatch)
+    assert main(argv) == 3
+    assert "above the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [str(10**12), str(MAX_OUTPUT_ROWS // 8 + 1)])
+def test_render_above_output_cap_exit_three(tmp_path, capsys, monkeypatch, samples):
+    path = write_circle(tmp_path)
+    refuse_allocation(monkeypatch)
+    code = main(["render", str(path), "--samples-per-span", samples,
+                 "--out", str(tmp_path / "x.svg")])
+    assert code == 3
+    assert "above the cap" in capsys.readouterr().err
+
+
+def test_output_cap_boundary(tmp_path, capsys, monkeypatch):
+    # with the cap lowered to 128 rows, M = 8 reaches it exactly at 4 vector
+    # levels, 3 scalar levels, 16 samples per span and 128 CSV samples
+    monkeypatch.setattr(cli, "MAX_OUTPUT_ROWS", 128)
+    path = str(write_circle(tmp_path))
+    svg = str(tmp_path / "x.svg")
+    for ok, too_many in [
+        (["subdivide", path, "--levels", "4"], ["subdivide", path, "--levels", "5"]),
+        (["subdivide", path, "--levels", "3", "--scheme", "scalar"],
+         ["subdivide", path, "--levels", "4", "--scheme", "scalar"]),
+        (["render", path, "--samples-per-span", "16", "--out", svg],
+         ["render", path, "--samples-per-span", "17", "--out", svg]),
+        (["basis", "--omega0", "1.0", "--samples", "128"],
+         ["basis", "--omega0", "1.0", "--samples", "129"]),
+    ]:
+        assert main(ok) == 0
+        assert main(too_many) == 3
+    assert MAX_OUTPUT_ROWS == 2**20
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, exphermite.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_subdivide_invariant_violation_exit_three(tmp_path):

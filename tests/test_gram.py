@@ -13,12 +13,12 @@ from exphermite import (
     Frequency,
     det_scan_min,
     gram_entries,
-    gram_matrix,
     lower_bound_G,
     lower_bound_G_zero_limit,
     phi,
     riesz_bounds,
 )
+from exphermite.gram import _scan
 
 REPRESENTATIVE = [0.5, 1.0, 3 * math.pi / 4, math.pi]
 
@@ -52,8 +52,15 @@ def test_offdiagonal_sign_convention():
     g = gram_entries(f)
     oracle = quad(lambda x: phi(f, 1, x) * phi(f, 2, x - 1), 0, 1)[0]
     assert abs(g.c - oracle) < 1e-8
-    mat = gram_matrix(f, 0.7)
-    assert mat.m12 == pytest.approx(-2j * g.c * math.sin(0.7), abs=1e-15)
+    # the scan's eigenvalues are those of the symbol with -2 c i sin(om)
+    # above the diagonal
+    om, _, lmin, lmax = _scan(f, 64)
+    for k in range(len(om)):
+        m12 = -2j * g.c * math.sin(om[k])
+        symbol = np.array([[2 * g.a * math.cos(om[k]) + g.b, m12],
+                           [np.conj(m12), 2 * g.d * math.cos(om[k]) + g.e]])
+        eig = np.linalg.eigvalsh(symbol)
+        assert eig == pytest.approx([lmin[k], lmax[k]], abs=1e-15)
 
 
 def test_trace_bound_quantities_positive():
@@ -64,32 +71,40 @@ def test_trace_bound_quantities_positive():
 
 
 def test_gram_matrix_offdiagonal_vanishes_at_zero():
-    assert gram_matrix(Frequency(2.0), 0.0).m12 == 0.0
+    # at om = 0 the determinant is exactly the product of the diagonal
+    g = gram_entries(Frequency(2.0))
+    om, det, _, _ = _scan(Frequency(2.0), 64)
+    assert om[0] == 0.0
+    assert det[0] == (2.0 * g.a + g.b) * (2.0 * g.d + g.e)
 
 
 def test_det_two_paths_agree():
     f = Frequency(2.0)
-    omega = 1.0
-    direct = gram_matrix(f, omega).det()
+    om, direct, _, _ = _scan(f, 64)
     A, B, C = gram_entries(f).det_coeffs()
-    closed = A * math.cos(2 * omega) + B * math.cos(omega) + C
-    assert abs(direct - closed) < 1e-12
+    closed = A * np.cos(2 * om) + B * np.cos(om) + C
+    assert np.abs(direct - closed).max() < 1e-12
 
 
 def test_trace_positive_at_pi():
     f = Frequency(1.0)
     g = gram_entries(f)
-    trace = gram_matrix(f, math.pi).trace()
+    om, _, lmin, lmax = _scan(f, 64)
+    assert om[-1] == math.pi
+    trace = lmin[-1] + lmax[-1]
     assert trace == pytest.approx(-2 * (g.a + g.d) + g.b + g.e, abs=1e-13)
     assert trace > 0.0
 
 
 def test_hermitian_on_random_pairs():
+    # a Hermitian symbol has real eigenvalues: the scan's pair multiplies to
+    # its determinant and never needs the clamped square root
     rng = np.random.default_rng(5)
     for _ in range(500):
         f = Frequency(float(rng.uniform(1e-3, math.pi)))
-        m = gram_matrix(f, float(rng.uniform(-10, 10))).matrix()
-        assert np.abs(m - m.conj().T).max() == 0.0
+        _, det, lmin, lmax = _scan(f, 64)
+        assert np.all(lmin <= lmax)
+        assert np.abs(lmin * lmax - det).max() < 1e-14
 
 
 @pytest.mark.parametrize("w0", [0.01, 1.0, 3 * math.pi / 4, math.pi])
@@ -116,9 +131,9 @@ def test_lower_riesz_bound_positive_across_sweep():
 def test_beta_squared_below_max_trace(w0):
     f = Frequency(w0)
     _, beta = riesz_bounds(f)
-    max_trace = max(
-        gram_matrix(f, float(om)).trace() for om in np.linspace(0, math.pi, 512)
-    )
+    g = gram_entries(f)
+    om = np.linspace(0, math.pi, 512)
+    max_trace = (2.0 * (g.a + g.d) * np.cos(om) + g.b + g.e).max()
     assert beta**2 <= max_trace + 1e-12
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from exphermite import (
     Frequency,
     FrequencyList,
-    GreenPair,
     annihilate,
     annihilation_weights,
     bspline,
@@ -55,14 +54,14 @@ def test_rho_parity(x, w0):
 
 def test_rho2_is_derivative_of_rho1():
     rng = np.random.default_rng(3)
-    pair = GreenPair(Frequency(1.7))
+    f = Frequency(1.7)
     step = 1e-6
     for _ in range(200):
         x = float(rng.uniform(-4.0, 4.0))
         if abs(x) < 1e-2:
             continue
-        fd = (pair.rho1(x + step) - pair.rho1(x - step)) / (2 * step)
-        assert pair.rho2(x) == pytest.approx(fd, abs=1e-7)
+        fd = (rho(f, 1, x + step) - rho(f, 1, x - step)) / (2 * step)
+        assert rho(f, 2, x) == pytest.approx(fd, abs=1e-7)
 
 
 def test_rho_small_frequency_limits():

@@ -18,8 +18,6 @@ from exphermite import (
     masks,
     refine_step,
     refinement_mask_general,
-    scalar_conversion,
-    scalar_conversion_inverse,
     scalar_refine_step,
     scalar_to_hermite,
     spline_eval,
@@ -263,7 +261,8 @@ def test_general_mask_two_scale_relation_ternary():
 
 
 def test_scalar_conversion_zero_derivative():
-    p0, p1 = scalar_conversion(Frequency(1.0), 0, 3.3, 0.0)
+    data = HermiteData(np.array([3.3]), np.array([0.0]))
+    p0, p1 = hermite_to_scalar(Frequency(1.0), 0, data).points
     assert p0 == p1 == 3.3
 
 
@@ -271,15 +270,16 @@ def test_scalar_conversion_round_trip():
     rng = np.random.default_rng(12)
     f = Frequency(2.0)
     for j in (0, 1, 4):
-        for _ in range(25):
-            value, deriv = rng.normal(size=2)
-            pair = scalar_conversion(f, j, value, deriv)
-            back = scalar_conversion_inverse(f, j, *pair)
-            assert back == pytest.approx((value, deriv), abs=1e-13)
+        values, derivs = rng.normal(size=(2, 25))
+        ctrl = hermite_to_scalar(f, j, HermiteData(values, derivs))
+        back = scalar_to_hermite(f, ctrl)
+        assert back.values == pytest.approx(values, abs=1e-13)
+        assert back.derivs == pytest.approx(derivs, abs=1e-13)
 
 
 def test_scalar_conversion_small_frequency_offset():
-    p0, p1 = scalar_conversion(Frequency(1e-6), 0, 0.0, 1.0)
+    data = HermiteData(np.array([0.0]), np.array([1.0]))
+    p0, p1 = hermite_to_scalar(Frequency(1e-6), 0, data).points
     assert p1 == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert p0 == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
