@@ -58,7 +58,6 @@ from .subdivision import (
     ScalarControl,
     hermite_to_scalar,
     masks,
-    refinement_mask_general,
     refine_step,
     scalar_refine_step,
     scalar_to_hermite,
@@ -109,7 +108,6 @@ __all__ = [
     "phi_rescaled_deriv",
     "refine_step",
     "refined_document",
-    "refinement_mask_general",
     "render_svg",
     "reproduction_check",
     "rho",

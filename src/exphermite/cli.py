@@ -24,7 +24,7 @@ from .document import (
     DocumentFormatError,
     dumps_document,
     dumps_scalar_document,
-    format_number,
+    format_rows,
     loads_document,
     refined_document,
     render_svg,
@@ -108,15 +108,15 @@ def cmd_basis(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise DomainError(f"samples must be >= 2, got {args.samples}")
     _check_rows(args.samples, "--samples")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"range bounds must be finite, got {lo} and {hi}")
     if hi <= lo:
         raise DomainError(f"range upper bound {hi} must exceed lower bound {lo}")
     evaluate = phi_deriv if args.deriv else phi
     xs = np.linspace(lo, hi, args.samples)
     values = evaluate(freq, args.which, xs)
-    rows = ["x,value"]
-    rows.extend(f"{format_number(x)},{format_number(value)}"
-                for x, value in zip(xs.tolist(), values.tolist()))
-    _write_text(args.out, "\n".join(rows) + "\n")
+    body = format_rows(np.column_stack([xs, values]), "%.17g,%.17g", "\n")
+    _write_text(args.out, f"x,value\n{body}\n")
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,10 +65,16 @@ def format_number(x: float) -> str:
     return format(float(x) + 0.0, ".17g")
 
 
-def _pairs(rows: np.ndarray) -> str:
-    return ", ".join(
-        f"[{format_number(x)}, {format_number(y)}]" for x, y in rows
-    )
+def format_rows(block, row: str, sep: str) -> str:
+    """Text of an (n, k) block in one %-format pass: ``row`` is a template
+    with k conversions, repeated n times and joined by ``sep``.  Adding 0.0
+    maps -0.0 to 0.0 as format_number does; a block that never holds -0.0
+    (pixel coordinates) is unchanged by it."""
+    block = np.asarray(block, dtype=float) + 0.0
+    return sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+
+
+_PAIR = "[%.17g, %.17g]"
 
 
 def dumps_document(doc: CurveDocument) -> str:
@@ -77,8 +84,8 @@ def dumps_document(doc: CurveDocument) -> str:
         f'  "version": {doc.version},\n'
         f'  "M": {doc.period},\n'
         f'  "omega0_mode": "{doc.omega0_mode}",\n'
-        f'  "points": [{_pairs(doc.points)}],\n'
-        f'  "tangents": [{_pairs(doc.tangents)}]\n'
+        f'  "points": [{format_rows(doc.points, _PAIR, ", ")}],\n'
+        f'  "tangents": [{format_rows(doc.tangents, _PAIR, ", ")}]\n'
         "}\n"
     )
 
@@ -87,10 +94,7 @@ def dumps_scalar_document(doc: CurveDocument, ctrl) -> str:
     """Serialize the scalar-scheme control polygon ``ctrl`` (a
     ScalarControl) refined from ``doc``: one control point per line, in the
     number format of dumps_document."""
-    body = ",\n    ".join(
-        f"[{format_number(x)}, {format_number(y)}]"
-        for x, y in np.atleast_2d(ctrl.points)
-    )
+    body = format_rows(ctrl.points, _PAIR, ",\n    ")
     return (
         "{\n"
         f'  "version": {doc.version},\n'
@@ -114,16 +118,11 @@ def _require(payload: dict, key: str, kinds) -> object:
 
 def _point_list(payload: dict, key: str) -> list[list[float]]:
     rows = _require(payload, key, list)
-    for row in rows:
-        if (
-            not isinstance(row, list)
-            or len(row) != 2
-            or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in row
-            )
-        ):
-            raise DocumentFormatError(f"{key!r} must be a list of [x, y] pairs")
+    # json.loads yields exact types, so one type-set scan refuses bools (an
+    # int subclass) and strings such as "1.5", which np.array would coerce
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        raise DocumentFormatError(f"{key!r} must be a list of [x, y] pairs")
     return rows
 
 
@@ -134,6 +133,10 @@ def loads_document(text: str) -> CurveDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentFormatError("document nests too deeply") from exc
+    except ValueError as exc:  # an integer literal above int_max_str_digits
+        raise DomainError(f"document number out of range: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentFormatError("document root must be a JSON object")
     version = _require(payload, "version", int)
@@ -146,8 +149,12 @@ def loads_document(text: str) -> CurveDocument:
     mode = _require(payload, "omega0_mode", str)
     points = _point_list(payload, "points")
     tangents = _point_list(payload, "tangents")
-    return CurveDocument(version, period, np.array(points, dtype=float),
-                         np.array(tangents, dtype=float), mode)
+    try:
+        points = np.array(points, dtype=float)
+        tangents = np.array(tangents, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise DomainError("document entries must be finite numbers") from None
+    return CurveDocument(version, period, points, tangents, mode)
 
 
 def refined_document(doc: CurveDocument, refined) -> CurveDocument:
@@ -190,8 +197,12 @@ def _fit(points: np.ndarray):
     return to_px
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".6f")
+_HANDLE = (
+    '<line class="handle" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" '
+    'stroke="steelblue" stroke-width="1.5"/>\n'
+    '<path class="ctrl" d="M %.6f,%.6f L %.6f,%.6f M %.6f,%.6f L %.6f,%.6f" '
+    'stroke="crimson" stroke-width="1.5" fill="none"/>'
+)
 
 
 def render_svg(doc: CurveDocument, samples_per_span: int = 64,
@@ -207,8 +218,7 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
     m = curve.period
     samples, _ = curve.eval(np.arange(m * samples_per_span) / samples_per_span)
     to_px = _fit(samples)
-    coords = to_px(samples).tolist()
-    path = "M " + " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords) + " Z"
+    path = "M " + format_rows(to_px(samples), "%.6f,%.6f", " L ") + " Z"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -218,19 +228,10 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
     ]
     if handles:
         arm = 0.008 * VIEWPORT
-        bases = to_px(doc.points).tolist()
-        tips = to_px(doc.points + doc.tangents).tolist()
-        for (x, y), (tip_x, tip_y) in zip(bases, tips):
-            lines.append(
-                f'<line class="handle" x1="{_fmt(x)}" y1="{_fmt(y)}" '
-                f'x2="{_fmt(tip_x)}" y2="{_fmt(tip_y)}" '
-                f'stroke="steelblue" stroke-width="1.5"/>'
-            )
-            lines.append(
-                f'<path class="ctrl" d="M {_fmt(x - arm)},{_fmt(y)} '
-                f'L {_fmt(x + arm)},{_fmt(y)} M {_fmt(x)},{_fmt(y - arm)} '
-                f'L {_fmt(x)},{_fmt(y + arm)}" stroke="crimson" '
-                f'stroke-width="1.5" fill="none"/>'
-            )
+        x, y = to_px(doc.points).T
+        tip_x, tip_y = to_px(doc.points + doc.tangents).T
+        lines.append(format_rows(
+            np.column_stack([x, y, tip_x, tip_y, x - arm, y, x + arm, y,
+                             x, y - arm, x, y + arm]), _HANDLE, "\n"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

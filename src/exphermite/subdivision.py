@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermiteData, phi_rescaled, phi_rescaled_deriv
+from .basis import HermiteData
 from .bezier import conversion_ratio
 from .frequency import DomainError, Frequency, s_factor, x_minus_sin
 
@@ -164,26 +164,6 @@ def subdivide(freq: Frequency, data0: HermiteData, levels: int) -> HermiteData:
     for j in range(levels):
         data = refine_step(data, masks(freq, j))
     return data
-
-
-def refinement_mask_general(freq: Frequency, h: float, m: int, n: int) -> np.ndarray:
-    """Two-scale matrix relating the grid-h generators to the grid-h/m ones:
-
-        [[phi1^h(n h/m),   (phi1^h)'(n h/m)],
-         [phi2^h(n h/m),   (phi2^h)'(n h/m)]]
-
-    Zero for |n| >= m by the support of the generators; the m = 2 case is
-    the transpose of the closed-form insertion masks.
-    """
-    if m < 2:
-        raise ValueError(f"arity m must be >= 2, got {m!r}")
-    x = n * h / m
-    return np.array(
-        [
-            [phi_rescaled(freq, h, 1, x), phi_rescaled_deriv(freq, h, 1, x)],
-            [phi_rescaled(freq, h, 2, x), phi_rescaled_deriv(freq, h, 2, x)],
-        ]
-    )
 
 
 @dataclass(frozen=True)

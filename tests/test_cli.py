@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,12 +17,15 @@ from hypothesis import strategies as st
 from exphermite import (
     CurveDocument,
     DocumentFormatError,
+    DomainError,
     dumps_document,
     loads_document,
     unit_circle,
 )
 import exphermite.cli as cli
+import exphermite.document as document
 from exphermite.cli import MAX_OUTPUT_ROWS, main, parse_omega0
+from exphermite.document import format_number, format_rows
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -180,6 +184,159 @@ def test_unknown_document_version_exit_four(tmp_path, capsys):
         main(["subdivide", str(future), "--levels", "1"])
     assert info.value.code == 4
     assert "version 99" in capsys.readouterr().err
+
+
+def write_payload(tmp_path, payload, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("entry, code, message", [
+    ("1" + "0" * 400, 3, "finite numbers"),  # an integer above the float range
+    ("-1" + "0" * 400, 3, "finite numbers"),
+    ("1" * 5000, 3, "out of range"),  # above Python's int_max_str_digits
+    ("1e999", 3, "finite numbers"),
+    ('"1.5"', 4, "pairs"),
+    ("true", 4, "pairs"),
+    ("null", 4, "pairs"),
+])
+def test_subdivide_document_entry_exit_codes(tmp_path, capsys, entry, code, message):
+    text = write_circle(tmp_path).read_text().replace("[1, 0]", f"[{entry}, 0]", 1)
+    assert f"[{entry}, 0]" in text
+    path = write_payload(tmp_path, text, "entry.json")
+    if code == 3:
+        assert main(["subdivide", path]) == 3
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(["subdivide", path])
+        assert info.value.code == code
+    assert message in capsys.readouterr().err
+
+
+def test_subdivide_deeply_nested_document_exit_four(tmp_path, capsys):
+    path = write_payload(tmp_path, "[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SystemExit) as info:
+        main(["subdivide", path])
+    assert info.value.code == 4
+    assert "nests too deeply" in capsys.readouterr().err
+
+
+def old_point_list(payload, key):
+    """The per-row reader that the single type scan replaced, kept as the
+    oracle of test_reader_matches_per_row_oracle."""
+    rows = document._require(payload, key, list)
+    for row in rows:
+        if (
+            not isinstance(row, list)
+            or len(row) != 2
+            or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in row
+            )
+        ):
+            raise DocumentFormatError(f"{key!r} must be a list of [x, y] pairs")
+    return rows
+
+
+def old_outcome(payload):
+    """What the per-row reader made of a payload: the exception class it
+    raised, or the two arrays.  An integer above the float range escaped
+    it as OverflowError."""
+    try:
+        if not isinstance(payload, dict):
+            raise DocumentFormatError("document root must be a JSON object")
+        if document._require(payload, "version", int) != 1:
+            raise DocumentFormatError("unsupported document version")
+        period = document._require(payload, "M", int)
+        mode = document._require(payload, "omega0_mode", str)
+        rows = [old_point_list(payload, key) for key in ("points", "tangents")]
+        arrays = [np.array(r, dtype=float) for r in rows]
+        doc = CurveDocument(1, period, *arrays, mode)
+    except (DocumentFormatError, DomainError, OverflowError) as exc:
+        return type(exc)
+    return doc.points, doc.tangents
+
+
+# integers beyond the float range, of either sign
+HUGE = st.integers(10**308, 10**400).map(lambda n: n * (-1) ** (n % 2))
+SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    HUGE,
+    st.booleans(),
+    st.text(max_size=3),
+    st.just("1.5"),
+    st.none(),
+)
+JUNK = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+GOOD_ROW = st.lists(st.floats(-10, 10) | st.integers(-10, 10), min_size=2, max_size=2)
+BAD_ROW = st.one_of(
+    st.lists(st.floats(-10, 10) | HUGE, min_size=2, max_size=2),
+    st.lists(SCALARS, max_size=3),
+    JUNK,
+)
+
+
+@st.composite
+def payloads(draw):
+    """Mostly well-formed documents with a few entries spoiled, so that the
+    reader's checks after the first one are reached too."""
+    m = draw(st.integers(0, 6))
+    payload = {"version": 1, "M": m, "omega0_mode": "auto"}
+    for key in ("points", "tangents"):
+        n = draw(st.sampled_from([m, m, m, m + 1, max(m - 1, 0)]))
+        rows = draw(st.lists(GOOD_ROW, min_size=n, max_size=n))
+        if rows and draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))] = draw(BAD_ROW)
+        payload[key] = draw(JUNK) if draw(st.integers(0, 9)) == 9 else rows
+    if draw(st.integers(0, 4)) == 4:
+        key = draw(st.sampled_from(sorted(payload)))
+        if draw(st.booleans()):
+            del payload[key]
+        else:
+            payload[key] = draw(JUNK)
+    return draw(JUNK) if draw(st.integers(0, 19)) == 19 else payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=payloads())
+def test_reader_matches_per_row_oracle(payload):
+    text = json.dumps(payload)
+    expected = old_outcome(json.loads(text))
+    try:
+        doc = loads_document(text)
+    except (DocumentFormatError, DomainError) as exc:
+        # the one change: an integer above the float range is a DomainError
+        assert (DomainError if expected is OverflowError else expected) is type(exc)
+    else:
+        assert not isinstance(expected, type)
+        assert np.array_equal(doc.points, expected[0])
+        assert np.array_equal(doc.tangents, expected[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            code = main(["subdivide", path])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 3, 4)
+
+
+@pytest.mark.parametrize("bounds", [["-1", "inf"], ["nan", "1"], ["0", "nan"]])
+def test_basis_nonfinite_range_exit_three(capsys, monkeypatch, bounds):
+    refuse_allocation(monkeypatch)
+    argv = ["basis", "--omega0", "1", "--range", *bounds, "--samples", "4"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 @pytest.mark.parametrize("levels", ["40", "1000000000000"])
@@ -397,3 +554,14 @@ def test_document_serialization_survives_arbitrary_doubles(rows):
     assert np.array_equal(np.asarray(again.points), np.asarray(doc.points))
     assert np.array_equal(np.asarray(again.tangents), np.asarray(doc.tangents))
     assert dumps_document(again) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                       | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308]),
+                       min_size=0, max_size=40))
+def test_format_rows_matches_format_number(values):
+    # the batched pass writes every double exactly as the one-number form
+    block = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
+    expected = "; ".join(f"<{format_number(x)}|{format_number(y)}>" for x, y in block)
+    assert format_rows(block, "<%.17g|%.17g>", "; ") == expected

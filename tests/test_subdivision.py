@@ -16,8 +16,9 @@ from exphermite import (
     hermite_to_bezier,
     hermite_to_scalar,
     masks,
+    phi_rescaled,
+    phi_rescaled_deriv,
     refine_step,
-    refinement_mask_general,
     scalar_refine_step,
     scalar_to_hermite,
     spline_eval,
@@ -218,6 +219,25 @@ def test_derivative_consistency_across_levels():
         assert 1.7 < a / b < 2.3
 
 
+def refinement_mask_general(freq, h, m, n):
+    """Two-scale matrix relating the grid-h generators to the grid-h/m ones:
+
+        [[phi1^h(n h/m),   (phi1^h)'(n h/m)],
+         [phi2^h(n h/m),   (phi2^h)'(n h/m)]]
+
+    Zero for |n| >= m by the support of the generators; the m = 2 case is
+    the transpose of the closed-form insertion masks, which makes it their
+    oracle here.
+    """
+    x = n * h / m
+    return np.array(
+        [
+            [phi_rescaled(freq, h, 1, x), phi_rescaled_deriv(freq, h, 1, x)],
+            [phi_rescaled(freq, h, 2, x), phi_rescaled_deriv(freq, h, 2, x)],
+        ]
+    )
+
+
 def test_general_mask_center_is_identity():
     mat = refinement_mask_general(Frequency(1.3), 1.0, 2, 0)
     assert np.abs(mat - np.eye(2)).max() < 1e-13
@@ -243,8 +263,6 @@ def test_general_mask_vanishes_outside_support():
 def test_general_mask_two_scale_relation_ternary():
     # the coarse generators are exact combinations of fine-grid shifts
     # weighted by the sampled matrix, here checked for arity 3
-    from exphermite import phi_rescaled
-
     f = Frequency(0.9)
     h, m = 1.0, 3
     for x in (-0.7, -0.2, 0.33, 0.5, 0.85):
