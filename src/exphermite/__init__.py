@@ -35,7 +35,7 @@ from .document import (
     refined_document,
     render_svg,
 )
-from .frequency import DomainError, Frequency, FrequencyList, SMALL_FREQ_THRESHOLD
+from .frequency import DomainError, Frequency, SMALL_FREQ_THRESHOLD
 from .gram import (
     GramEntries,
     det_scan_min,
@@ -45,7 +45,6 @@ from .gram import (
     riesz_bounds,
 )
 from .greens import (
-    annihilate,
     annihilation_weights,
     bspline,
     phi_from_rho,
@@ -75,7 +74,6 @@ __all__ = [
     "DomainError",
     "E4Piece",
     "Frequency",
-    "FrequencyList",
     "GeneratorPair",
     "GramEntries",
     "HermiteData",
@@ -83,7 +81,6 @@ __all__ = [
     "MaskTriple",
     "SMALL_FREQ_THRESHOLD",
     "ScalarControl",
-    "annihilate",
     "annihilation_weights",
     "bernstein",
     "bernstein_basis",

@@ -23,7 +23,7 @@ def conversion_ratio(freq: Frequency) -> float:
     """Handle-offset ratio lam(w) = (w - sin w) / (w (1 - cos w)); exactly
     1/3 on the small-frequency path.
 
-    Equal to the complex closed form r/(r - p) with
+    Equal to the closed form r/(r - p) of the exponential derivation, with
     r = 1 + 2 i w e^{iw} - e^{2 i w} and p = e^{2 i w}(i w - 1) + i w + 1;
     this real rearrangement avoids the O(w^3) cancellation of r itself.
     """

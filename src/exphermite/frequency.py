@@ -59,23 +59,6 @@ class Frequency:
         return Frequency(w)
 
 
-@dataclass(frozen=True)
-class FrequencyList:
-    """Ordered annihilation frequencies in [-pi, pi]; repeats raise the order."""
-
-    freqs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        clean = tuple(float(w) for w in self.freqs)
-        for w in clean:
-            if not math.isfinite(w) or abs(w) > math.pi:
-                raise DomainError(f"annihilation frequency {w!r} outside [-pi, pi]")
-        object.__setattr__(self, "freqs", clean)
-
-    def __len__(self) -> int:
-        return len(self.freqs)
-
-
 def _stable(t, first, steps, direct):
     """Series below the cutoff, ``direct`` at or above it, elementwise.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -114,6 +114,15 @@ def det_scan_min(freq: Frequency, grid_size: int = 2048) -> float:
     return float(det.min())
 
 
+def _mp_lower_bound_parts(w):
+    """Numerator and denominator of ``lower_bound_G``; both are O(w^12)."""
+    num = (180 * w * mp.sin(w) - 9 * w**3 * mp.sin(2 * w)
+           - 4 * (2 * w**4 - 3 * w**2 - 48) * mp.cos(w)
+           + (w**4 - 24 * w**2 - 3) * mp.cos(2 * w)
+           + 7 * w**4 - 78 * w**2 - 189)
+    return num, 24 * w**4 * mp.sin(w / 2) ** 2 * _mp_s(w) ** 2
+
+
 def lower_bound_G(freq: Frequency) -> float:
     """Closed-form lower bound for the symbol determinant, uniform in the
     Fourier frequency; positive and nondecreasing over (0, pi]."""
@@ -122,22 +131,11 @@ def lower_bound_G(freq: Frequency) -> float:
     # the numerator cancels down to the w^12 scale of the denominator
     dps = _MP_DPS + int(12.0 * max(0.0, -math.log10(freq.omega0)))
     with mp.workdps(dps):
-        w = mp.mpf(freq.omega0)
-        s2 = _mp_s(w) ** 2
-        num = (180 * w * mp.sin(w) - 9 * w**3 * mp.sin(2 * w)
-               - 4 * (2 * w**4 - 3 * w**2 - 48) * mp.cos(w)
-               + (w**4 - 24 * w**2 - 3) * mp.cos(2 * w)
-               + 7 * w**4 - 78 * w**2 - 189)
-        return float(num / (24 * w**4 * mp.sin(w / 2) ** 2 * s2))
+        num, den = _mp_lower_bound_parts(mp.mpf(freq.omega0))
+        return float(num / den)
 
 
-@cache
 def lower_bound_G_zero_limit() -> float:
-    """Limit of the lower bound as omega0 -> 0+, via a geometric sequence."""
-    prev = None
-    for k in range(1, 60):
-        val = lower_bound_G(Frequency(2.0 ** (-k)))
-        if prev is not None and abs(val - prev) <= 1e-14 * max(1.0, abs(val)):
-            return val
-        prev = val
-    return prev
+    """Limit of the lower bound as omega0 -> 0+: the exact rational 29/6300,
+    the leading term of the series 29/6300 + O(w^2) of the closed form."""
+    return 29 / 6300

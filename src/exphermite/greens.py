@@ -1,80 +1,65 @@
-"""Green's functions, the discrete annihilation operator, and exponential
+"""Green's functions, their real annihilation filters, and exponential
 B-splines of orders three and four.
 
 rho1 and rho2 = rho1' are the fundamental solutions of the fourth- and
 third-order operators behind the spline family.  Discretizing those
-operators gives the annihilation filter; applying it to the Green's
-functions produces compactly supported B-splines, and short combinations
-of the Hermite generators reproduce the same B-splines (the superfunction
-route).  Both routes are implemented and must agree.
+operators gives short real filters: powers of the zero-frequency
+difference 1 - z times the pair filter 1 - 2 cos(w) z + z^2, which kills
+cos(w x) and sin(w x).  Applying them to the Green's functions produces
+compactly supported B-splines, and short combinations of the Hermite
+generators reproduce the same B-splines (the superfunction route).  Both
+routes are implemented and must agree, as must the localization identities
+that rebuild the generators from Green's-function shifts and back.
+
+Every function takes a float or an array of x through one code path, and
+each uses the filter and coefficients of the frequency it evaluates, so
+the identities hold down to w = 0.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import phi
-from .frequency import DomainError, Frequency, FrequencyList, one_minus_cos, s_factor, x_minus_sin
-
-_IMAG_TOL = 1e-12
+from .basis import _check_which, phi
+from .frequency import Frequency, one_minus_cos, s_factor, x_minus_sin
 
 
-def rho(freq: Frequency, which: int, x: float) -> float:
+def rho(freq: Frequency, which: int, x):
     """Green's functions: rho1(x) = (w x - sin(w x)) sgn(x) / (2 w^3) and
     rho2(x) = (1 - cos(w x)) sgn(x) / (2 w^2), with the w -> 0 limits
-    |x|^3/12 and x|x|/4.  sgn(0) = 0 makes parity exact."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if x == 0.0:
-        return 0.0
-    sign = 1.0 if x > 0.0 else -1.0
+    |x|^3/12 and x|x|/4.  Both vanish at 0, which makes parity exact."""
+    _check_which(which)
     ax = abs(x)
     if freq.is_small:
-        return ax**3 / 12.0 if which == 1 else sign * ax * ax / 4.0
+        return ax**3 / 12.0 if which == 1 else x * ax / 4.0
     w = freq.omega0
     if which == 1:
         return x_minus_sin(w * ax) / (2.0 * w**3)
-    return sign * one_minus_cos(w * ax) / (2.0 * w * w)
+    return (1 - 2 * (x < 0.0)) * one_minus_cos(w * ax) / (2.0 * w * w)
 
 
-def annihilation_weights(freqs: FrequencyList | Sequence[float]) -> np.ndarray:
-    """Taps of the composite filter prod_k (1 - e^{i w_k} z); weight[k]
-    multiplies f(x - k)."""
-    if not isinstance(freqs, FrequencyList):
-        freqs = FrequencyList(tuple(freqs))
-    weights = np.array([1.0 + 0.0j])
-    for w in freqs.freqs:
-        weights = np.convolve(weights, [1.0, -np.exp(1j * w)])
-    return weights
+def _rho2_deriv(freq: Frequency, x):
+    """rho2'(x) = sin(w |x|) / (2 w), with the w -> 0 limit |x| / 2."""
+    ax = abs(x)
+    if freq.is_small:
+        return ax / 2.0
+    w = freq.omega0
+    return np.sin(w * ax) / (2.0 * w)
 
 
-def annihilate(
-    freqs: FrequencyList | Sequence[float],
-    f: Callable[[float], float | complex],
-    x: float,
-) -> complex:
-    """Apply the discrete annihilation operator for the given frequencies:
-    one step maps f to f(.) - e^{i w} f(. - 1), steps compose recursively.
-    The filter kills exactly the exponentials e^{i w_k x}."""
-    weights = annihilation_weights(freqs)
-    return complex(sum(wk * f(x - k) for k, wk in enumerate(weights)))
-
-
-def _annihilate_real(
-    freqs: Sequence[float], f: Callable[[float], float], x: float
-) -> float:
-    """Real-valued annihilation; the frequency list must be symmetric under
-    negation so the filter taps are real up to roundoff."""
-    val = annihilate(freqs, f, x)
-    scale = max(1.0, abs(val.real))
-    if abs(val.imag) > _IMAG_TOL * scale:
-        raise ArithmeticError(
-            f"annihilation expected a real result, imag={val.imag:.3e}"
-        )
-    return val.real
+def annihilation_weights(freq: Frequency, order: int) -> np.ndarray:
+    """Real taps of (1 - z)^(order - 2) (1 - 2 cos(w) z + z^2) for order 3
+    or 4; weight k multiplies f(x - k).  w is the frequency actually
+    evaluated, so cos w = 1 on the cubic path.  The filter kills 1, cos(w x)
+    and sin(w x), and for order 4 also x."""
+    c = 1.0 if freq.is_small else math.cos(freq.omega0)
+    if order == 3:
+        return np.array([1.0, -1.0 - 2.0 * c, 1.0 + 2.0 * c, -1.0])
+    if order == 4:
+        return np.array([1.0, -2.0 - 2.0 * c, 2.0 + 4.0 * c, -2.0 - 2.0 * c, 1.0])
+    raise ValueError(f"order must be 3 or 4, got {order!r}")
 
 
 def _normalization(freq: Frequency) -> float:
@@ -106,97 +91,79 @@ def _superfunction_terms(freq: Frequency, order: int) -> list[tuple[int, float, 
     raise ValueError(f"order must be 3 or 4, got {order!r}")
 
 
-def bspline(freq: Frequency, order: int, x: float, method: str = "green") -> float:
+def bspline(freq: Frequency, order: int, x, method: str = "green"):
     """Normalized exponential B-spline of order 4 (support [0, 4]) or 3
     (support [0, 3]).
 
     method="green": normalization times the annihilation filter applied to
-    the matching Green's function.  method="superfunction": the short
-    combination of shifted generators.  The two agree pointwise.
+    the matching Green's function (rho1 for order 4, rho2 for order 3).
+    method="superfunction": the short combination of shifted generators.
+    The two agree pointwise.
     """
     if order not in (3, 4):
         raise ValueError(f"order must be 3 or 4, got {order!r}")
-    if x <= 0.0 or x >= order:
-        return 0.0
     if method == "green":
-        w = freq.omega0
-        if order == 4:
-            freqs = (0.0, 0.0, w, -w)
-            g = lambda y: rho(freq, 1, y)
-        else:
-            freqs = (0.0, w, -w)
-            g = lambda y: rho(freq, 2, y)
-        return _normalization(freq) * _annihilate_real(freqs, g, x)
-    if method == "superfunction":
-        return sum(
+        which = 5 - order  # rho1 for order 4, rho2 for order 3
+        val = _normalization(freq) * sum(
+            tap * rho(freq, which, x - k)
+            for k, tap in enumerate(annihilation_weights(freq, order))
+        )
+    elif method == "superfunction":
+        val = sum(
             w1 * phi(freq, 1, x - n) + w2 * phi(freq, 2, x - n)
             for n, w1, w2 in _superfunction_terms(freq, order)
         )
-    raise ValueError(f"method must be 'green' or 'superfunction', got {method!r}")
+    else:
+        raise ValueError(f"method must be 'green' or 'superfunction', got {method!r}")
+    return val * ((x > 0.0) & (x < order))
 
 
-def rho_from_phi(freq: Frequency, which: int, x: float) -> float:
+def rho_from_phi(freq: Frequency, which: int, x):
     """Reproduce rho1 or rho2 through the Hermite expansion: the expansion
     coefficients are the integer samples (rho(n), rho'(n)), and only the two
-    shifts bracketing x contribute."""
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    n0 = math.floor(x)
+    shifts n = floor(x), floor(x) + 1 bracketing x contribute."""
+    n0 = x // 1.0  # floor(x); a float stays a float
+    t = x - n0
     total = 0.0
-    for n in (n0, n0 + 1):
-        if which == 1:
-            cv, cd = rho(freq, 1, float(n)), rho(freq, 2, float(n))
-        else:
-            cv, cd = rho(freq, 2, float(n)), _rho2_deriv(freq, float(n))
-        total += cv * phi(freq, 1, x - n) + cd * phi(freq, 2, x - n)
+    for n, offset in ((n0, t), (n0 + 1.0, t - 1.0)):
+        slope = rho(freq, 2, n) if which == 1 else _rho2_deriv(freq, n)
+        total = total + (rho(freq, which, n) * phi(freq, 1, offset)
+                         + slope * phi(freq, 2, offset))
     return total
 
 
-def _rho2_deriv(freq: Frequency, x: float) -> float:
-    """rho2'(x) = sin(w x) sgn(x) / (2 w) away from 0 (limit x|x| -> |x|/2)."""
-    if x == 0.0:
-        return 0.0
+def _localization_coefficients(freq: Frequency) -> tuple[float, float, float]:
+    """(c, c3, c4) = (w^2 sin(w/2) / s, w^3 cos(w/2) / s,
+    w (w - sin w) / (2 s sin(w/2))) with s = 2 sin(w/2) - w cos(w/2);
+    their exact limits (6, 12, 2) on the cubic path."""
     if freq.is_small:
-        return abs(x) / 2.0
-    w = freq.omega0
-    return math.sin(w * abs(x)) / (2.0 * w)
-
-
-def phi_from_rho(freq: Frequency, which: int, x: float) -> float:
-    """Rebuild the generators from finitely many annihilated Green's-function
-    shifts (the localization identities, centered form):
-
-        phi1(x) = (w^2/s) [ sin(w/2) (rho2(x+1) - rho2(x-1))
-                            - w cos(w/2) D2 rho1 (x+1) ]
-        phi2(x) = (w/s)   [ w sin(w/2) (rho1(x+1) - rho1(x-1))
-                            - (w / (2 sin(w/2))) Dpm rho2 (x+1)
-                            + cos(w/2) D2 rho2 (x+1) ]
-
-    where D2 f(y) = f(y) - 2 f(y-1) + f(y-2) is the double zero-frequency
-    difference and Dpm f(y) = f(y) - 2 cos(w) f(y-1) + f(y-2) annihilates
-    the pair (w, -w).  All residual tails cancel, so the result vanishes
-    for |x| >= 1.
-    """
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if freq.omega0 <= 0.0:
-        raise DomainError("phi_from_rho needs omega0 in (0, pi]")
+        return 6.0, 12.0, 2.0
     w = freq.omega0
     s = s_factor(w)
-    half_sin, half_cos = math.sin(0.5 * w), math.cos(0.5 * w)
-    r1 = lambda y: rho(freq, 1, y)
-    r2 = lambda y: rho(freq, 2, y)
+    half_sin = math.sin(0.5 * w)
+    return (w * w * half_sin / s, w**3 * math.cos(0.5 * w) / s,
+            w * x_minus_sin(w) / (2.0 * s * half_sin))
+
+
+def phi_from_rho(freq: Frequency, which: int, x):
+    """Rebuild the generators from finitely many Green's-function shifts
+    (the localization identities, centered form):
+
+        phi1(x) = c (rho2(x+1) - rho2(x-1)) - c3 D2 rho1 (x+1)
+        phi2(x) = c (rho1(x+1) - rho1(x-1) - 2 rho2(x)) - c4 D2 rho2 (x+1)
+
+    with the coefficients of ``_localization_coefficients`` and the double
+    zero-frequency difference D2 f(y) = f(y) - 2 f(y-1) + f(y-2).  The pair
+    filter D+- f(y) = D2 f(y) + 4 sin^2(w/2) f(y-1) has been split off
+    algebraically, so every coefficient stays bounded as w -> 0 and no sum
+    cancels at relative scale w^2.  The tails cancel, so the result
+    vanishes for |x| >= 1.
+    """
+    _check_which(which)
+    c, c3, c4 = _localization_coefficients(freq)
+    shifts = (x + 1.0, x, x - 1.0)
+    p1, q1, m1 = (rho(freq, 1, y) for y in shifts)
+    p2, q2, m2 = (rho(freq, 2, y) for y in shifts)
     if which == 1:
-        centered = _annihilate_real((0.0,), r2, x + 1.0) + _annihilate_real(
-            (0.0,), r2, x
-        )
-        double = _annihilate_real((0.0, 0.0), r1, x + 1.0)
-        return (w * w / s) * (half_sin * centered - w * half_cos * double)
-    centered = _annihilate_real((0.0,), r1, x + 1.0) + _annihilate_real((0.0,), r1, x)
-    pair_diff = _annihilate_real((w, -w), r2, x + 1.0)
-    double = _annihilate_real((0.0, 0.0), r2, x + 1.0)
-    return (w / s) * (
-        w * half_sin * centered
-        - (0.5 * w / half_sin) * pair_diff
-        + half_cos * double
-    )
+        return c * (p2 - m2) - c3 * (p1 - 2.0 * q1 + m1)
+    return c * (p1 - m1 - 2.0 * q2) - c4 * (p2 - 2.0 * q2 + m2)

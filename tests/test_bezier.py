@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from exphermite import (
     DomainError,
     Frequency,
-    annihilate,
+    annihilation_weights,
     bernstein,
     bernstein_basis,
     bezier_to_hermite,
@@ -225,14 +225,15 @@ def test_segment_endpoint_derivative():
 
 
 def test_pieces_belong_to_the_exponential_family():
-    # the annihilation filter for (0, 0, w, -w) kills the analytic
-    # continuation of every Bernstein piece
+    # the order-4 annihilation filter (1 - z)^2 (1 - 2 cos(w) z + z^2) kills
+    # the analytic continuation of every Bernstein piece
     w0 = 2.4
     f = Frequency(w0)
     basis = bernstein_basis(f)
+    weights = annihilation_weights(f, 4)
     for piece in basis.pieces:
         for x in (0.3, 1.7, -2.2):
-            val = annihilate((0.0, 0.0, w0, -w0), piece.value, x)
+            val = sum(wk * piece.value(x - k) for k, wk in enumerate(weights))
             assert abs(val) < 1e-12
 
 

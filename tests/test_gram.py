@@ -4,6 +4,7 @@ and the closed-form determinant lower bound."""
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,7 +19,7 @@ from exphermite import (
     phi,
     riesz_bounds,
 )
-from exphermite.gram import _scan
+from exphermite.gram import _mp_lower_bound_parts, _scan
 
 REPRESENTATIVE = [0.5, 1.0, 3 * math.pi / 4, math.pi]
 
@@ -161,6 +162,17 @@ def test_zero_limit_from_above():
     g0 = lower_bound_G_zero_limit()
     assert g0 > 0.0
     assert lower_bound_G(Frequency(0.01)) >= g0 - 1e-12
+
+
+def test_zero_limit_is_the_series_limit():
+    # numerator and denominator of lower_bound_G both start at w^12; the
+    # ratio of those Taylor coefficients is the limit, 29/6300
+    with mp.workdps(60):
+        num = mp.taylor(lambda w: _mp_lower_bound_parts(w)[0], 0, 12)
+        den = mp.taylor(lambda w: _mp_lower_bound_parts(w)[1], 0, 12)
+        assert all(abs(c) < 1e-40 for c in num[:12] + den[:12])
+        limit = float(num[12] / den[12])
+    assert abs(lower_bound_G_zero_limit() - limit) <= math.ulp(limit)
 
 
 def test_small_frequency_entries_match_rationals():

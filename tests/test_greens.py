@@ -1,5 +1,5 @@
-"""Green's functions, the annihilation filter, exponential B-splines, and
-the reproduction/localization identities."""
+"""Green's functions, the real annihilation filters, exponential B-splines,
+and the reproduction/localization identities."""
 
 import math
 
@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exphermite import (
+    SMALL_FREQ_THRESHOLD,
     Frequency,
-    FrequencyList,
-    annihilate,
     annihilation_weights,
     bspline,
     phi,
@@ -20,6 +19,11 @@ from exphermite import (
     rho_from_phi,
 )
 from exphermite.greens import _superfunction_terms
+
+
+def filtered(weights, f, x: float) -> float:
+    """The filter with these taps applied to f at x: sum_k weights[k] f(x - k)."""
+    return sum(wk * f(x - k) for k, wk in enumerate(weights))
 
 
 def classical_cubic_bspline(x: float) -> float:
@@ -72,31 +76,41 @@ def test_rho_small_frequency_limits():
 
 def test_annihilation_weights_expand_the_filter():
     w = 0.9
-    weights = annihilation_weights(FrequencyList((0.0, w, -w)))
+    weights = annihilation_weights(Frequency(w), 3)
     # (1 - z)(1 - 2 cos(w) z + z^2)
     expected = np.array([1.0, -1.0 - 2 * math.cos(w), 1.0 + 2 * math.cos(w), -1.0])
     assert np.abs(weights - expected).max() < 1e-14
+    # (1 - z)^2 (1 - 2 cos(w) z + z^2)
+    assert np.abs(annihilation_weights(Frequency(w), 4)
+                  - np.convolve(expected, [1.0, -1.0])).max() < 1e-14
+    # the cubic path evaluates w = 0: the plain third and fourth differences
+    small = Frequency(0.5 * SMALL_FREQ_THRESHOLD)
+    assert annihilation_weights(small, 3).tolist() == [1.0, -3.0, 3.0, -1.0]
+    assert annihilation_weights(small, 4).tolist() == [1.0, -4.0, 6.0, -4.0, 1.0]
+    with pytest.raises(ValueError):
+        annihilation_weights(Frequency(w), 2)
 
 
 def test_annihilate_kills_constants():
-    val = annihilate((0.0,), lambda x: 5.0, 3.7)
+    val = filtered(annihilation_weights(Frequency(0.9), 3), lambda x: 5.0, 3.7)
     assert abs(val) < 1e-14
 
 
 @settings(max_examples=50, deadline=None)
 @given(x=st.floats(-5.0, 5.0))
 def test_annihilate_exact_on_exponentials(x):
+    # e^{iwt} = cos(wt) + i sin(wt): the real filter kills both parts
     w = 1.3
-    target = lambda t: complex(math.cos(w * t), math.sin(w * t))
-    val = annihilate((0.0, 0.0, w, -w), target, x)
-    assert abs(val) < 1e-12
+    weights = annihilation_weights(Frequency(w), 4)
+    assert abs(filtered(weights, lambda t: math.cos(w * t), x)) < 1e-12
+    assert abs(filtered(weights, lambda t: math.sin(w * t), x)) < 1e-12
 
 
 def test_annihilate_exact_on_family():
     rng = np.random.default_rng(11)
     w = 3 * math.pi / 4
-    four = (0.0, 0.0, w, -w)
-    three = (0.0, w, -w)
+    four = annihilation_weights(Frequency(w), 4)
+    three = annihilation_weights(Frequency(w), 3)
     members = [
         lambda t: 1.0,
         lambda t: t,
@@ -105,10 +119,10 @@ def test_annihilate_exact_on_family():
     ]
     for x in rng.uniform(-10, 10, size=50):
         for f in members:
-            assert abs(annihilate(four, f, float(x))) < 1e-12
+            assert abs(filtered(four, f, float(x))) < 1e-12
         for f in (members[0], members[2], members[3]):
-            assert abs(annihilate(three, f, float(x))) < 1e-12
-    assert abs(annihilate(three, lambda t: math.cos(w * t), 2.1)) < 1e-12
+            assert abs(filtered(three, f, float(x))) < 1e-12
+    assert abs(filtered(three, lambda t: math.cos(w * t), 2.1)) < 1e-12
 
 
 @pytest.mark.parametrize("w0", [0.7, 1.0, 3 * math.pi / 4, math.pi])
@@ -143,24 +157,25 @@ def test_bspline_partition_of_unity(w0):
 
 
 def test_bspline_tiny_frequency_matches_cubic():
+    # both routes evaluate the cubic limit, so they meet the classical cubic
+    # B-spline to rounding; measured 3.1e-16, the bound is twice that
     f = Frequency(1e-6)
     for x in (1.0, 2.0, 3.0):
         expected = classical_cubic_bspline(x)
-        assert bspline(f, 4, x, "green") == pytest.approx(expected, abs=1e-5)
-        assert bspline(f, 4, x, "superfunction") == pytest.approx(expected, abs=1e-5)
+        assert abs(bspline(f, 4, x, "green") - expected) <= 2 * 3.1e-16
+        assert abs(bspline(f, 4, x, "superfunction") - expected) <= 2 * 3.1e-16
 
 
 def test_green_combination_vanishes_outside_support():
     # localization: the raw annihilated Green's function must cancel to zero
     # beyond the support, without any clamping involved
     f = Frequency(2.0)
-    w = f.omega0
     r1 = lambda y: rho(f, 1, y)
     r2 = lambda y: rho(f, 2, y)
     for x in (-2.0, -0.5, 4.5, 7.25):
-        assert abs(annihilate((0.0, 0.0, w, -w), r1, x)) < 1e-12
+        assert abs(filtered(annihilation_weights(f, 4), r1, x)) < 1e-12
     for x in (-1.5, -0.25, 3.5, 6.0):
-        assert abs(annihilate((0.0, w, -w), r2, x)) < 1e-12
+        assert abs(filtered(annihilation_weights(f, 3), r2, x)) < 1e-12
 
 
 def test_superfunction_coefficient_sums():
@@ -193,3 +208,48 @@ def test_phi_from_rho_matches_generators(w0):
     for x in np.linspace(-5.0, 5.0, 201):
         assert abs(phi_from_rho(f, 1, float(x)) - phi(f, 1, float(x))) < 1e-10
         assert abs(phi_from_rho(f, 2, float(x)) - phi(f, 2, float(x))) < 1e-10
+
+
+# The x grids of the verify benchmark workload.  The frequencies are w = 0,
+# the two sides of the small-frequency seam and a log grid of [1e-7, pi].
+VERIFY_GRID = np.linspace(-5.0, 5.0, 41).tolist()
+VERIFY_BSPLINE_GRID = {order: np.linspace(-0.25, order + 0.25, 23).tolist()
+                       for order in (3, 4)}
+SWEEP = [0.0, 1e-7, 0.99e-4, 1.01e-4] + np.geomspace(1e-7, math.pi, 40).tolist()
+
+
+@pytest.mark.parametrize("w0", SWEEP)
+def test_identities_hold_down_to_zero_frequency(w0):
+    f = Frequency(w0)
+    for which in (1, 2):
+        for x in VERIFY_GRID:
+            assert abs(phi_from_rho(f, which, x) - phi(f, which, x)) <= 1e-12
+            assert abs(rho_from_phi(f, which, x) - rho(f, which, x)) <= 1e-12
+    for order, xs in VERIFY_BSPLINE_GRID.items():
+        for x in xs:
+            green = bspline(f, order, x, "green")
+            assert abs(green - bspline(f, order, x, "superfunction")) <= 1e-12
+
+
+GREEN_FUNCTIONS = {
+    "rho": rho,
+    "rho_from_phi": rho_from_phi,
+    "phi_from_rho": phi_from_rho,
+    "bspline_green": lambda f, k, x: bspline(f, k + 2, x, "green"),
+    "bspline_superfunction": lambda f, k, x: bspline(f, k + 2, x, "superfunction"),
+}
+
+
+@pytest.mark.parametrize("name", GREEN_FUNCTIONS)
+def test_array_calls_match_float_calls(name):
+    fn = GREEN_FUNCTIONS[name]
+    xs = np.linspace(-5.5, 5.5, 89)
+    for w0 in (0.0, 0.5 * SMALL_FREQ_THRESHOLD, 0.7, math.pi):
+        f = Frequency(w0)
+        for k in (1, 2):
+            values = fn(f, k, xs)
+            assert values.shape == xs.shape
+            for x, value in zip(xs.tolist(), values):
+                assert fn(f, k, x) == value
+            grid = fn(f, k, xs[:88].reshape(11, 8))
+            assert np.array_equal(grid, values[:88].reshape(11, 8))

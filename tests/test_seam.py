@@ -4,9 +4,7 @@ the trigonometric closed forms to the exact cubic limit.
 Each quantity is compared at w = T(1 - 1e-9) (cubic path) and w = T(1 +
 1e-9) (trigonometric path), T = SMALL_FREQ_THRESHOLD.  The jump is the
 genuine O(T^2) = 1e-8 difference between the two families, not roundoff;
-each bound is twice the measured jump.  The green-route B-spline jump is
-the known defect of that route on the cubic path (the exact-w filter
-applied to the w = 0 Green's function), pinned so it cannot grow unseen.
+each bound is twice the measured jump.
 """
 
 import math
@@ -62,7 +60,7 @@ def test_jump_across_the_seam(name):
 
 
 @pytest.mark.parametrize("method, measured", [("superfunction", 1.6e-10),
-                                              ("green", 9.95e-9)])
+                                              ("green", 1.6e-10)])
 def test_bspline_jump_across_the_seam(method, measured):
     worst = 0.0
     for order in (3, 4):
