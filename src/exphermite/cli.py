@@ -56,15 +56,14 @@ _PI_FORM = re.compile(r"^(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$", re.IGNORECAS
 def parse_omega0(text: str) -> float:
     """Accept a plain float or the literal form '<p>pi/<q>' (e.g. 3pi/4)."""
     match = _PI_FORM.match(text.strip())
-    if match:
-        num = float(match.group(1)) if match.group(1) else 1.0
-        den = float(match.group(2)) if match.group(2) else 1.0
-        return num * math.pi / den
     try:
-        return float(text)
-    except ValueError:
+        if not match:
+            return float(text)
+        num = float(match.group(1) or 1.0)
+        return num * math.pi / float(match.group(2) or 1.0)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            f"expected a float or '<p>pi/<q>', got {text!r}"
+            f"expected a float or '<p>pi/<q>' with q != 0, got {text!r}"
         ) from None
 
 

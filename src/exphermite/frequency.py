@@ -31,9 +31,9 @@ class DomainError(ValueError):
 class Frequency:
     """Design frequency w in radians, restricted to [0, pi].
 
-    ``is_small`` selects the cubic-limit evaluation path; all modules
-    branch on this single predicate so the switch is consistent
-    package-wide.
+    ``is_small`` selects the cubic-limit evaluation path; every module
+    with such a path branches on this single predicate so the switch is
+    consistent package-wide.
     """
 
     omega0: float

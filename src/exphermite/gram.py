@@ -1,10 +1,13 @@
 """Gram matrix of the generator shifts and Riesz-bound verification.
 
-The five scalar entry functions a..e are closed forms whose numerators
-cancel down to the w^7..w^11 scale of their denominators, so double
-precision loses them long before w reaches the cubic regime.  They are
-therefore evaluated once per frequency in fixed 80-digit arithmetic and
-returned as floats; the frequency scans built on top are plain NumPy.
+The five entries a..e and the determinant lower bound G are closed forms
+whose numerators cancel down to the w^7..w^12 scale of their denominators,
+so double precision loses them long before w reaches 0.  Each is even in w
+and analytic on [0, pi] (the nearest singularity is at 2 pi), so all six
+are one degree-14 Chebyshev series in t = 2 w^2 / pi^2 - 1.  Its table is
+fitted to the closed forms in 80-digit arithmetic by
+``scripts/fit_gram_table.py`` and matches them within 4e-16 relative on
+all of [0, pi], w = 0 included.
 """
 
 from __future__ import annotations
@@ -13,13 +16,44 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from .frequency import DomainError, Frequency
+from .frequency import Frequency
 
-_MP_DPS = 80
-
+# rows: degrees 0..14; columns: a, b, c, d, e, G
+_TABLE = np.array([
+    [0.1268443540068659, 0.7463112919862682, -0.034599510354964606,
+     -0.008990263893684654, 0.023187233992437755, 0.004941596769024464],
+    [-0.0017836813515506777, 0.0035673627031013555, -0.003913290205540046,
+     -0.0020313006221561376, 0.004526332680979954, 0.00034158715754561964],
+    [-5.856863244580962e-05, 0.00011713726489161925, -0.000285734177689652,
+     -0.0002007613593062513, 0.0004212206957173539, 2.0850414228363727e-06],
+    [-2.030451534780426e-06, 4.060903069560852e-06, -2.099986427461826e-05,
+     -1.833874453683652e-05, 3.74755084855444e-05, -1.239854875795836e-06],
+    [-7.100230993894482e-08, 1.4200461987788964e-07, -1.529743096033963e-06,
+     -1.595403614259421e-06, 3.221986101107231e-06, -1.7675111835037091e-07],
+    [-2.479633610581596e-09, 4.959267221163192e-09, -1.106980606519564e-07,
+     -1.3438202141782752e-07, 2.6994971756439275e-07, -1.8417474588986505e-08],
+    [-8.629239422954036e-11, 1.7258478845908073e-10, -7.980132813956605e-09,
+     -1.1064367906534224e-08, 2.2172912452255254e-08, -1.7087238587418201e-09],
+    [-2.9916540937366127e-12, 5.983308187473225e-12, -5.741237411954886e-10,
+     -8.957265321614417e-10, 1.7930731937740157e-09, -1.4941063837843376e-10],
+    [-1.0334842661425486e-13, 2.0669685322850973e-13, -4.1262294228932575e-11,
+     -7.1572971839842e-11, 1.432046198513624e-10, -1.2606559370161926e-11],
+    [-3.558710543094267e-15, 7.117421086188534e-15, -2.963988726500849e-12,
+     -5.659643024473629e-12, 1.1321389647651452e-11, -1.0385263597193156e-12],
+    [-1.2218458204776673e-16, 2.4436916409553347e-16, -2.1285715329513626e-13,
+     -4.4372679833712654e-13, 8.875283829628517e-13, -8.408510877065918e-14],
+    [-4.18406817345704e-18, 8.36813634691408e-18, -1.528428456944936e-14,
+     -3.4541423686340277e-14, 6.908548749675848e-14, -6.718629842495251e-15],
+    [-1.4293794049122559e-19, 2.8587588098245117e-19, -1.097425838440925e-15,
+     -2.6725882304759074e-15, 5.345269106620135e-15, -5.312366012803665e-16],
+    [-4.8725511679079925e-21, 9.745102335815985e-21, -7.879383179984448e-17,
+     -2.057122120582677e-16, 4.1142765845152983e-16, -4.164640822695994e-17],
+    [-1.6577043321430692e-22, 3.3154086642861384e-22, -5.657218561415478e-18,
+     -1.5762319207425567e-17, 3.1524750822160203e-17, -3.2416532463329015e-18],
+])
 
 @dataclass(frozen=True)
 class GramEntries:
@@ -41,98 +75,60 @@ class GramEntries:
         return A, B, C
 
 
-def _mp_s(w):
-    return 2 * mp.sin(w / 2) - w * mp.cos(w / 2)
-
-
-def _mp_entries(w):
-    s2 = _mp_s(w) ** 2
-    a = (w * (w**2 - 18) * mp.cos(w) - 6 * (w**2 - 5) * mp.sin(w)
-         + w * (w**2 - 12)) / (12 * w * s2)
-    b = (w * (w**2 + 3) * mp.cos(w) - 3 * (w**2 + 5) * mp.sin(w)
-         + w * (w**2 + 12)) / (3 * w * s2)
-    c = (5 * w * (w**2 + 3) * mp.cos(w / 2) + w * (w**2 - 15) * mp.cos(3 * w / 2)
-         - 72 * mp.sin(w / 2) - 6 * (w**2 - 4) * mp.sin(3 * w / 2)) \
-        / (24 * w**2 * mp.sin(w / 2) * s2)
-    d = (6 * (7 * w**2 + 6) * mp.sin(w) + 6 * (w**2 - 3) * mp.sin(2 * w)
-         - w * (2 * (7 * w**2 - 30) * mp.cos(w) + (w**2 - 12) * mp.cos(2 * w)
-                + 3 * (w**2 + 24))) / (48 * w**3 * mp.sin(w / 2) ** 2 * s2)
-    e = (-12 * (2 * w**2 + 3) * mp.sin(w) - 3 * (5 * w**2 - 6) * mp.sin(2 * w)
-         + 2 * w * (2 * (w**2 + 9) * mp.cos(w) + (w**2 - 18) * mp.cos(2 * w)
-                    + 6 * w**2)) / (24 * w**3 * mp.sin(w / 2) ** 2 * s2)
-    return a, b, c, d, e
-
-
-# Gram constants of the cubic Hermite pair h00(t) = (2t+1)(t-1)^2,
-# h10(t) = t(t-1)^2, as exact rationals of the integrals on [0, 1].
-_CUBIC_LIMIT_ENTRIES = GramEntries(9 / 70, 26 / 35, -13 / 420, -1 / 140, 2 / 105)
+def _table_values(freq: Frequency) -> list[float]:
+    w = freq.omega0
+    return chebval(2.0 * w * w / math.pi**2 - 1.0, _TABLE).tolist()
 
 
 @lru_cache(maxsize=1024)
 def gram_entries(freq: Frequency) -> GramEntries:
-    """Evaluate the five closed-form entries for omega0 in [0, pi]."""
-    if freq.is_small:
-        return _CUBIC_LIMIT_ENTRIES
-    with mp.workdps(_MP_DPS):
-        vals = _mp_entries(mp.mpf(freq.omega0))
-        return GramEntries(*(float(v) for v in vals))
+    """The five entries for omega0 in [0, pi]."""
+    return GramEntries(*_table_values(freq)[:5])
 
 
-def _scan(freq: Frequency, grid_size: int):
-    """The Hermitian Fourier symbol [[2a cos om + b, -2 c i sin om],
-    [2 c i sin om, 2d cos om + e]] on a uniform grid of om over [0, pi]:
-    returns om, the determinant and the two eigenvalues."""
+def riesz_bounds(freq: Frequency) -> tuple[float, float]:
+    """Lower and upper Riesz constants (alpha, beta), exact and certified.
+
+    Both extrema of the eigenvalues of the Hermitian Fourier symbol
+    M = [[2a c + b, -2 c_g i s], [2 c_g i s, 2d c + e]], c = cos(om),
+    s = sin(om), c_g the entry c, sit at om = 0.  There M is diagonal, so
+    alpha^2 = 2d + e and beta^2 = 2a + b (= 1, the integral of phi1).
+    Certificate: det(M - alpha^2 I) = (1 - c) L(c) and
+    det(beta^2 I - M) = (1 - c) U(c) with L and U linear in c, and the
+    diagonal entries -2d (1 - c) and 2a (1 - c) are nonnegative when
+    d < 0 < a.  So d < 0 < a and L, U > 0 at c = +-1 make both matrices
+    positive semidefinite for every om; otherwise ArithmeticError.
+    """
     g = gram_entries(freq)
-    om = np.linspace(0.0, math.pi, grid_size)
-    co = np.cos(om)
-    m11 = 2.0 * g.a * co + g.b
-    m22 = 2.0 * g.d * co + g.e
-    det = m11 * m22 - 4.0 * g.c * g.c * np.sin(om) ** 2
-    tr = m11 + m22
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    return om, det, 0.5 * (tr - disc), 0.5 * (tr + disc)
+    alpha2, beta2 = 2.0 * g.d + g.e, 2.0 * g.a + g.b
+    margins = [alpha2, -g.d, g.a]
+    for c in (-1.0, 1.0):
+        offdiag = 4.0 * g.c * g.c * (1.0 + c)
+        margins.append(-2.0 * g.d * (2.0 * g.a * c + g.b - alpha2) - offdiag)
+        margins.append(2.0 * g.a * (beta2 - 2.0 * g.d * c - g.e) - offdiag)
+    if not min(margins) > 0.0:
+        raise ArithmeticError(
+            f"Riesz certificate fails at omega0={freq.omega0!r}: "
+            f"margin {min(margins):.3e}"
+        )
+    return math.sqrt(alpha2), math.sqrt(beta2)
 
 
-def riesz_bounds(freq: Frequency, grid_size: int = 2048) -> tuple[float, float]:
-    """Lower/upper Riesz constants estimated on a uniform symbol-frequency
-    grid over [0, pi] (symmetry covers the negative half).  Extrema between
-    samples are not certified: this is a verification scan, not a proof."""
-    if grid_size < 64:
-        raise DomainError(f"grid_size must be >= 64, got {grid_size!r}")
-    _, _, lmin, lmax = _scan(freq, grid_size)
-    low = float(lmin.min())
-    if low < 0.0:
-        raise ArithmeticError(f"negative eigenvalue {low:.3e} on the scan grid")
-    return math.sqrt(low), math.sqrt(float(lmax.max()))
-
-
-def det_scan_min(freq: Frequency, grid_size: int = 2048) -> float:
-    """Smallest determinant of the symbol over the scan grid."""
-    if grid_size < 64:
-        raise DomainError(f"grid_size must be >= 64, got {grid_size!r}")
-    _, det, _, _ = _scan(freq, grid_size)
-    return float(det.min())
-
-
-def _mp_lower_bound_parts(w):
-    """Numerator and denominator of ``lower_bound_G``; both are O(w^12)."""
-    num = (180 * w * mp.sin(w) - 9 * w**3 * mp.sin(2 * w)
-           - 4 * (2 * w**4 - 3 * w**2 - 48) * mp.cos(w)
-           + (w**4 - 24 * w**2 - 3) * mp.cos(2 * w)
-           + 7 * w**4 - 78 * w**2 - 189)
-    return num, 24 * w**4 * mp.sin(w / 2) ** 2 * _mp_s(w) ** 2
+def det_scan_min(freq: Frequency) -> float:
+    """Exact minimum of the symbol determinant over om: the quadratic
+    A (2c^2 - 1) + B c + C in c = cos(om) at c = +-1 and, if it lies
+    inside, at its vertex."""
+    A, B, C = gram_entries(freq).det_coeffs()
+    cs = [-1.0, 1.0]
+    if abs(B) < 4.0 * abs(A):
+        cs.append(-B / (4.0 * A))
+    return min(A * (2.0 * c * c - 1.0) + B * c + C for c in cs)
 
 
 def lower_bound_G(freq: Frequency) -> float:
     """Closed-form lower bound for the symbol determinant, uniform in the
-    Fourier frequency; positive and nondecreasing over (0, pi]."""
-    if freq.omega0 <= 0.0:
-        raise DomainError("lower_bound_G needs omega0 in (0, pi]")
-    # the numerator cancels down to the w^12 scale of the denominator
-    dps = _MP_DPS + int(12.0 * max(0.0, -math.log10(freq.omega0)))
-    with mp.workdps(dps):
-        num, den = _mp_lower_bound_parts(mp.mpf(freq.omega0))
-        return float(num / den)
+    Fourier frequency; positive and nondecreasing over [0, pi]."""
+    return _table_values(freq)[5]
 
 
 def lower_bound_G_zero_limit() -> float:

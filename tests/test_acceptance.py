@@ -157,9 +157,9 @@ def test_criterion_07_gram_quadrature_and_scan():
         )
     report(7, "gram entries vs quadrature", worst < 1e-8, worst, 1e-8)
     min_alpha = min(
-        riesz_bounds(Frequency(w0), 2048)[0] for w0 in (0.1, 1.0, 2.0, 3.0, math.pi)
+        riesz_bounds(Frequency(w0))[0] for w0 in (0.1, 1.0, 2.0, 3.0, math.pi)
     )
-    report(7, "smallest eigenvalue on scans", min_alpha > 0.0, min_alpha, 0.0)
+    report(7, "smallest symbol eigenvalue", min_alpha > 0.0, min_alpha, 0.0)
     values = [lower_bound_G(Frequency(k * math.pi / 200)) for k in range(1, 201)]
     ok = all(v > 0.0 for v in values) and all(
         b >= a - 1e-15 for a, b in zip(values, values[1:])

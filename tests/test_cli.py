@@ -85,13 +85,19 @@ def test_basis_domain_error_exit_code(capsys):
     assert "pi" in err
 
 
-def test_bad_flags_exit_two():
+def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["basis", "--omega0", "notanumber"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["basis"])
     assert info.value.code == 2
+    # a zero denominator in a pi literal is a bad flag, not a traceback
+    for text in ("pi/0", "0pi/0", "3pi/0.0"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--omega0", text])
+        assert info.value.code == 2
+        assert "q != 0" in capsys.readouterr().err
 
 
 def test_subdivide_vector_levels(tmp_path, capsys):
@@ -416,12 +422,23 @@ def test_output_cap_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_out():
-    code = "import sys, exphermite.cli; print('scipy' in sys.modules)"
+    # neither test-only dependency is loaded by the import or by a full
+    # verify run, which checks the Gram and Riesz paths
+    code = (
+        "import sys, exphermite.cli as cli\n"
+        "loaded = lambda: sorted({'scipy', 'mpmath'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "code = cli.main(['verify', '--suite', 'all', '--omega0', '1'])\n"
+        "print(loaded())\n"
+        "raise SystemExit(code)\n"
+    )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().split("\n")
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[-2] == "15/15 checks passed"
 
 
 def test_subdivide_invariant_violation_exit_three(tmp_path):
@@ -513,10 +530,13 @@ def test_render_unwritable_exit_five(tmp_path):
 
 
 def test_verify_suites_pass(capsys):
-    for suite in ("riesz", "reproduction", "masks", "gram"):
-        assert main(["verify", "--suite", suite, "--omega0", "2.356"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+    for omega0 in ("2.356", "0", "1e-300", "pi"):
+        for suite in ("riesz", "reproduction", "masks", "gram"):
+            assert main(["verify", "--suite", suite, "--omega0", omega0]) == 0
+            out = capsys.readouterr().out
+            assert "PASS" in out and "FAIL" not in out
+        assert main(["verify", "--suite", "all", "--omega0", omega0]) == 0
+        assert capsys.readouterr().out.endswith("15/15 checks passed\n")
 
 
 def test_verify_reports_values(capsys):
@@ -565,3 +585,57 @@ def test_format_rows_matches_format_number(values):
     block = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
     expected = "; ".join(f"<{format_number(x)}|{format_number(y)}>" for x, y in block)
     assert format_rows(block, "<%.17g|%.17g>", "; ") == expected
+
+
+# --omega0 text: floats of every kind, '<p>pi/<q>' forms including zero
+# denominators, and short junk
+OMEGA_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.builds("{}pi{}".format, st.sampled_from(["", "0", "3", "1.5", "12"]),
+              st.sampled_from(["", "/0", "/0.0", "/2", "/4", "/7.5"])),
+    st.text(max_size=4),
+)
+# counts: small ones, two above MAX_OUTPUT_ROWS (exit 3 before allocating)
+# and junk
+COUNT_TEXT = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from([str(MAX_OUTPUT_ROWS + 1), str(10**12)]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["verify", "basis", "render"]))
+    if command == "verify":
+        argv = ["verify", "--omega0", draw(OMEGA_TEXT)]
+        if draw(st.booleans()):
+            argv += ["--suite", draw(st.sampled_from(
+                ["all", "riesz", "reproduction", "masks", "gram", "none"]))]
+        return argv
+    if command == "basis":
+        argv = ["basis", "--omega0", draw(OMEGA_TEXT),
+                "--which", draw(st.sampled_from(["0", "1", "2", "3", "x"])),
+                "--range", *draw(st.lists(st.floats().map(repr) | st.text(max_size=3),
+                                          min_size=2, max_size=2)),
+                "--samples", draw(COUNT_TEXT)]
+        return argv + (["--deriv"] if draw(st.booleans()) else [])
+    return ["render", "DOC", "--samples-per-span", draw(COUNT_TEXT)]
+
+
+@pytest.fixture(scope="module")
+def circle_document(tmp_path_factory):
+    return str(write_circle(tmp_path_factory.mktemp("fuzz")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argvs())
+def test_cli_flags_end_in_documented_exit_codes(circle_document, argv):
+    # bad flags exit 2, domain errors 3; no traceback, and no verification
+    # failure anywhere in [0, pi]
+    argv = [circle_document if a == "DOC" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3, 4)
