@@ -6,8 +6,8 @@ inserts the value/derivative of the local Hermite interpolant at span
 midpoints.  Because the interpolant lives on a grid of spacing 2^-j, the
 insertion matrices depend on the level through the halved frequency
 w / 2^j, which is what lets the scheme reproduce ellipses at every level.
-The scalar scheme transports the same refinement to Bezier control points
-through the Hermite <-> Bezier change of variables.
+The scalar scheme runs the same insertion rule on Bezier control points, in
+each node's mean / half-difference coordinates.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def _columns(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(len(arr), -1).T
 
 
-def _insert(mask: MaskTriple, v0, d0, v1, d1, out_v, out_d) -> None:
+def _insert(triple, v0, d0, v1, d1, out_v, out_d) -> None:
     """Midpoint slots between 1-D columns (v0, d0) and (v1, d1), written
-    into out_v / out_d.
+    into out_v / out_d, for the rule (top, bot, diag) = ``triple``.
 
     With hp1 = [[1/2, top], [-bot, diag]] and hm1 = [[1/2, -top], [bot,
     diag]] the value row is (v0/2 + top d0) + (v1/2 - top d1), summed in
@@ -107,7 +107,7 @@ def _insert(mask: MaskTriple, v0, d0, v1, d1, out_v, out_d) -> None:
     ``bot`` at deep levels than summing -bot v0 + bot v1.  out_d holds
     top d1 while the value row is formed.
     """
-    top, bot, diag = mask.hp1[0, 1], mask.hm1[1, 0], mask.hm1[1, 1]
+    top, bot, diag = triple
     scratch = np.multiply(d0, top)
     np.multiply(v0, 0.5, out=out_v)
     out_v += scratch
@@ -122,6 +122,20 @@ def _insert(mask: MaskTriple, v0, d0, v1, d1, out_v, out_d) -> None:
     out_d += scratch
 
 
+def _insert_spans(triple, v, d, out_v, out_d, periodic: bool) -> None:
+    """Midpoint slots of the n - 1 spans of the 1-D columns (v, d), then of
+    the span from the last node back to the first when ``periodic``."""
+    n = len(v)
+    _insert(triple, v[:-1], d[:-1], v[1:], d[1:], out_v[:n - 1], out_d[:n - 1])
+    if periodic:
+        _insert(triple, v[-1:], d[-1:], v[:1], d[:1], out_v[n - 1:], out_d[n - 1:])
+
+
+def _check_refinable(n: int, periodic: bool) -> None:
+    if n < 2 and not periodic:
+        raise ValueError("refinement needs at least two non-periodic samples")
+
+
 def refine_step(data: HermiteData, mask: MaskTriple) -> HermiteData:
     """One dyadic step: even output slots copy the input bitwise; each odd
     slot is the local Hermite interpolant of the bracketing nodes evaluated
@@ -134,18 +148,15 @@ def refine_step(data: HermiteData, mask: MaskTriple) -> HermiteData:
     the M = 4 ellipse measures 1.9e-11 at L = 16.
     """
     n = len(data)
-    if n < 2 and not data.periodic:
-        raise ValueError("refinement needs at least two non-periodic samples")
+    _check_refinable(n, data.periodic)
+    triple = (mask.hp1[0, 1], mask.hm1[1, 0], mask.hm1[1, 1])
     shape = (refined_length(n, data.periodic),) + data.values.shape[1:]
     out_v, out_d = np.empty(shape), np.empty(shape)
     for v, d, ov, od in zip(_columns(data.values), _columns(data.derivs),
                             _columns(out_v), _columns(out_d)):
         ov[0::2] = v
         od[0::2] = d
-        _insert(mask, v[:-1], d[:-1], v[1:], d[1:],
-                ov[1:2 * n - 1:2], od[1:2 * n - 1:2])
-        if data.periodic:
-            _insert(mask, v[-1:], d[-1:], v[:1], d[:1], ov[-1:], od[-1:])
+        _insert_spans(triple, v, d, ov[1::2], od[1::2], data.periodic)
     return HermiteData(out_v, out_d, periodic=data.periodic)
 
 
@@ -180,6 +191,8 @@ class ScalarControl:
         pts = np.asarray(self.points, dtype=float)
         if len(pts) % 2 != 0:
             raise ValueError("control points come in per-node pairs")
+        if len(pts) < 2:
+            raise ValueError("need at least one node's pair of control points")
         object.__setattr__(self, "points", pts)
 
     def node_count(self) -> int:
@@ -191,12 +204,6 @@ def _handle_offset(freq: Frequency, j: int) -> float:
     control points, per unit derivative."""
     h = 2.0 ** (-j)
     return conversion_ratio(Frequency(freq.omega0 * h)) * h
-
-
-def _conversion_matrix(freq: Frequency, j: int) -> np.ndarray:
-    """M_j mapping (value, derivative) to the node's two control points."""
-    offset = _handle_offset(freq, j)
-    return np.array([[1.0, -offset], [1.0, offset]])
 
 
 def hermite_to_scalar(freq: Frequency, j: int, data: HermiteData) -> ScalarControl:
@@ -219,50 +226,44 @@ def scalar_to_hermite(freq: Frequency, ctrl: ScalarControl) -> HermiteData:
     return HermiteData(values, derivs, periodic=ctrl.periodic)
 
 
-def _combine(out: np.ndarray, terms, scratch: np.ndarray) -> None:
-    """out = sum of coef * array over ``terms``, accumulated left to right
-    through one scratch array of out's shape."""
-    (coef, arr), *rest = terms
-    np.multiply(arr, coef, out=out)
-    for coef, arr in rest:
-        np.multiply(arr, coef, out=scratch)
-        out += scratch
-
-
 def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
-    """One step of the scalar four-point scheme.
+    """One step of the scalar four-point scheme: the vector step in each
+    node's mean / half-difference coordinates.
 
-    The rules are the vector ones conjugated by the level conversion
-    matrices, so converting Hermite data to control points and refining
-    commutes with refining the Hermite data and converting afterwards.
+    A level-j node with control points (a, b) has value m = (a + b)/2 and
+    half-difference (b - a)/2 = o_j d, o_j being the level-j handle offset.
+    Rescaled to o_{j+1} d, the refined node's own, the pair (m, o_{j+1} d)
+    refines by the vector rule with top / o_{j+1}, bot * o_{j+1} and the
+    same diagonal, and each refined node is written back as m -/+ o_{j+1} d.
+    So the step commutes with the vector step through hermite_to_scalar.
     Old control points are discarded (the scheme is approximating).
+
+    Error model: control points carry a few eps of the data scale at any
+    depth.  Means refine like vector values.  A half-difference o_L d is a
+    level-L derivative, whose relative error grows like eps 2^L, times o_L,
+    which shrinks like 2^-L, so its absolute error stays a few eps of the
+    level-0 control points.  Against the control polygon of ``subdivide``,
+    random M = 4 ellipses at L = 16 measure within 6 eps of the largest.
     """
+    n = pts.node_count()
+    _check_refinable(n, pts.periodic)
     j = pts.level
     mask = masks(freq, j)
-    m_next = _conversion_matrix(freq, j + 1)
-    m_inv = np.linalg.inv(_conversion_matrix(freq, j))
-    even_rule = m_next @ m_inv
-    odd_left = m_next @ mask.hp1 @ m_inv
-    odd_right = m_next @ mask.hm1 @ m_inv
-
+    offset, next_offset = _handle_offset(freq, j), _handle_offset(freq, j + 1)
+    triple = (mask.hp1[0, 1] / next_offset, mask.hm1[1, 0] * next_offset,
+              mask.hm1[1, 1])
+    half_ratio = 0.5 * next_offset / offset
     # node k owns points 2k (incoming) and 2k+1 (outgoing); in the output,
     # old node k becomes node 2k (points 4k, 4k+1) and the midpoint after
     # it node 2k+1 (points 4k+2, 4k+3)
-    n = pts.node_count()
     out = np.empty((2 * refined_length(n, pts.periodic),) + pts.points.shape[1:])
-    scratch = np.empty(n)
+    mid_m, mid_half = np.empty((2, len(out) // 4))
     for p, o in zip(_columns(pts.points), _columns(out)):
         a, b = p[0::2], p[1::2]
-        for row in (0, 1):
-            left, right = odd_left[row], odd_right[row]
-            _combine(o[row::4], [(even_rule[row, 0], a), (even_rule[row, 1], b)],
-                     scratch)
-            odd = o[2 + row::4]
-            _combine(odd[:n - 1], [(left[0], a[:-1]), (left[1], b[:-1]),
-                                   (right[0], a[1:]), (right[1], b[1:])],
-                     scratch[:n - 1])
-            if pts.periodic:
-                _combine(odd[n - 1:], [(left[0], a[-1:]), (left[1], b[-1:]),
-                                       (right[0], a[:1]), (right[1], b[:1])],
-                         scratch[:1])
+        mean, half = 0.5 * (a + b), half_ratio * (b - a)
+        np.subtract(mean, half, out=o[0::4])
+        np.add(mean, half, out=o[1::4])
+        _insert_spans(triple, mean, half, mid_m, mid_half, pts.periodic)
+        np.subtract(mid_m, mid_half, out=o[2::4])
+        np.add(mid_m, mid_half, out=o[3::4])
     return ScalarControl(out, j + 1, pts.periodic)

@@ -23,13 +23,19 @@ from exphermite import (
     refine_step,
     scalar_refine_step,
 )
-from exphermite.subdivision import _conversion_matrix
+from exphermite.subdivision import _handle_offset
 
 EPS = float(np.finfo(float).eps)
 # measured worst cases over 400 random draws: 2.0 and 1.6
 VALUE_EPS = 8
 DERIV_EPS = 8
 SCALAR_TOL = 1e-11
+
+
+def _conversion_matrix(freq: Frequency, j: int) -> np.ndarray:
+    """M_j mapping (value, derivative) to the node's two control points."""
+    offset = _handle_offset(freq, j)
+    return np.array([[1.0, -offset], [1.0, offset]])
 
 
 def _node_matrix(data: HermiteData) -> np.ndarray:
