@@ -14,6 +14,7 @@ from .basis import (
     phi_deriv,
     phi_rescaled,
     phi_rescaled_deriv,
+    piece_kernels,
     spline_eval,
 )
 from .bezier import (
@@ -65,6 +66,22 @@ from .subdivision import (
 
 __version__ = "0.1.0"
 
+# the cached functions themselves, kept apart from the names above so that a
+# wrapper installed over a name does not hide its cache
+_CACHES = {"make_generators": make_generators, "gram_entries": gram_entries,
+           "bernstein_basis": bernstein_basis}
+
+
+def diagnostics() -> dict[str, dict[str, int]]:
+    """Entry count, bound, hits and misses of each bounded per-frequency
+    cache, as {name: {"currsize", "maxsize", "hits", "misses"}}."""
+    return {
+        name: {key: getattr(cached.cache_info(), key)
+               for key in ("currsize", "maxsize", "hits", "misses")}
+        for name, cached in _CACHES.items()
+    }
+
+
 __all__ = [
     "BernsteinBasis",
     "BezierSegment",
@@ -88,6 +105,7 @@ __all__ = [
     "bspline",
     "conversion_ratio",
     "det_scan_min",
+    "diagnostics",
     "dumps_document",
     "endpoint_slope",
     "gram_entries",
@@ -103,6 +121,7 @@ __all__ = [
     "phi_from_rho",
     "phi_rescaled",
     "phi_rescaled_deriv",
+    "piece_kernels",
     "refine_step",
     "refined_document",
     "render_svg",

@@ -24,6 +24,16 @@ from .frequency import (
 )
 
 
+def piece_kernels(freq: Frequency, x):
+    """The pair (1 - cos(w x), w x - sin(w x)) that every regular-path piece
+    of frequency w combines at x (float or array); None on the cubic path,
+    whose pieces are plain polynomials."""
+    if freq.is_small:
+        return None
+    t = freq.omega0 * x
+    return one_minus_cos(t), x_minus_sin(t)
+
+
 @dataclass(frozen=True)
 class E4Piece:
     """One segment on [0, 1] of the four-dimensional exponential family.
@@ -69,14 +79,23 @@ class E4Piece:
 
     def value(self, x):
         """The segment at a float x, or elementwise on an array."""
+        return self.at(x, piece_kernels(self.freq, x))
+
+    def at(self, x, kernels):
+        """The segment at x from ``kernels = piece_kernels(self.freq, x)``.
+
+        The kernel pair depends only on the frequency and x, so pieces that
+        share both (a generator pair, the Bernstein basis) compute it once
+        and each combine it here.
+        """
         if self.freq.is_small:
             return self.a + x * (self.b + x * (self.c + x * self.d))
-        t = self.freq.omega0 * x
+        one_minus_cos_wx, wx_minus_sin_wx = kernels
         return (
             self.value0
             + self.slope0 * x
-            - self.c * one_minus_cos(t)
-            - self.d * x_minus_sin(t)
+            - self.c * one_minus_cos_wx
+            - self.d * wx_minus_sin_wx
         )
 
     def derivative(self) -> "E4Piece":
@@ -153,11 +172,12 @@ def make_generators(freq: Frequency) -> GeneratorPair:
     g2 = E4Piece.from_stable_parts(0.0, 1.0, gamma, delta, freq)
 
     pair = GeneratorPair(g1, g2, freq)
+    at0, at1 = piece_kernels(freq, 0.0), piece_kernels(freq, 1.0)
     residual = max(
-        abs(g1.value(0.0) - 1.0), abs(pair.dg1.value(0.0)),
-        abs(g1.value(1.0)), abs(pair.dg1.value(1.0)),
-        abs(g2.value(0.0)), abs(pair.dg2.value(0.0) - 1.0),
-        abs(g2.value(1.0)), abs(pair.dg2.value(1.0)),
+        abs(g1.at(0.0, at0) - 1.0), abs(pair.dg1.at(0.0, at0)),
+        abs(g1.at(1.0, at1)), abs(pair.dg1.at(1.0, at1)),
+        abs(g2.at(0.0, at0)), abs(pair.dg2.at(0.0, at0) - 1.0),
+        abs(g2.at(1.0, at1)), abs(pair.dg2.at(1.0, at1)),
     )
     if residual > _BOUNDARY_TOL:
         raise ArithmeticError(
@@ -220,6 +240,10 @@ class HermiteData:
     match.  Derivative entries are plain slope samples with respect to the
     curve parameter, not pre-multiplied by any grid step.  ``periodic``
     wraps the index modulo the length.
+
+    Finiteness is not checked here, because every refinement level builds
+    one of these: ``subdivide`` and ``hermite_to_scalar`` check their input
+    data once, before allocating their output.
     """
 
     values: np.ndarray
@@ -231,6 +255,8 @@ class HermiteData:
         d = np.asarray(self.derivs, dtype=float)
         if v.shape != d.shape:
             raise ValueError(f"values shape {v.shape} != derivs shape {d.shape}")
+        if v.ndim == 0:
+            raise ValueError("samples need an index axis, got a 0-d value")
         if len(v) < 1:
             raise ValueError("need at least one sample")
         object.__setattr__(self, "values", v)
@@ -273,13 +299,15 @@ def spline_eval(freq: Frequency, data: HermiteData, x):
     v1, d1 = values[..., i1], derivs[..., i1]
     pair = make_generators(freq)
     t1 = 1.0 - t
+    # one kernel pair per argument, shared by the four pieces evaluated there
+    k0, k1 = piece_kernels(freq, t), piece_kernels(freq, t1)
     value = (
-        v0 * pair.g1.value(t) + d0 * pair.g2.value(t)
-        + v1 * pair.g1.value(t1) - d1 * pair.g2.value(t1)
+        v0 * pair.g1.at(t, k0) + d0 * pair.g2.at(t, k0)
+        + v1 * pair.g1.at(t1, k1) - d1 * pair.g2.at(t1, k1)
     )
     deriv = (
-        v0 * pair.dg1.value(t) + d0 * pair.dg2.value(t)
-        - v1 * pair.dg1.value(t1) + d1 * pair.dg2.value(t1)
+        v0 * pair.dg1.at(t, k0) + d0 * pair.dg2.at(t, k0)
+        - v1 * pair.dg1.at(t1, k1) + d1 * pair.dg2.at(t1, k1)
     )
     at_node = t == 0.0
     coords = range(data.values.ndim - 1)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import E4Piece, make_generators
+from .basis import E4Piece, make_generators, piece_kernels
 from .frequency import DomainError, Frequency, one_minus_cos, x_minus_sin
 
 
@@ -111,8 +111,9 @@ class BezierSegment:
     def value(self, t):
         """The segment at local parameter t, a float or an array; control
         points of shape s give results of shape t.shape + s."""
-        pieces = bernstein_basis(self.freq).pieces
-        b0, b1, b2, b3 = (piece.value(t) for piece in pieces)
+        kernels = piece_kernels(self.freq, t)
+        b0, b1, b2, b3 = (piece.at(t, kernels)
+                          for piece in bernstein_basis(self.freq).pieces)
         return (
             np.multiply.outer(b0, self.p0) + np.multiply.outer(b1, self.p1)
             + np.multiply.outer(b2, self.p2) + np.multiply.outer(b3, self.p3)

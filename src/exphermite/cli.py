@@ -9,6 +9,7 @@ malformed input JSON or unsupported document version, 5 unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -258,39 +259,44 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("subdivide", help="refine a curve document")
     p.add_argument("input")
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--scheme", choices=("vector", "scalar"), default="vector")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_subdivide)
 
     p = sub.add_parser("render", help="render a curve document to SVG")
     p.add_argument("input")
     p.add_argument("--samples-per-span", type=int, default=64)
     p.add_argument("--handles", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", help="run property verification suites")
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--omega0", type=parse_omega0, required=True)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: building it costs
+    over ten times a parse, and parse_args leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command in ("subdivide", "render"):
         if getattr(args, "levels", 0) < 0:
             parser.error("--levels must be nonnegative")
         if getattr(args, "samples_per_span", 1) < 1:
             parser.error("--samples-per-span must be >= 1")
+    # looked up per call, so the handler that runs is the module's current one
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

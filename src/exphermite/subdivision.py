@@ -136,6 +136,11 @@ def _check_refinable(n: int, periodic: bool) -> None:
         raise ValueError("refinement needs at least two non-periodic samples")
 
 
+def _check_finite(data: HermiteData) -> None:
+    if not (np.isfinite(data.values).all() and np.isfinite(data.derivs).all()):
+        raise DomainError("Hermite samples must be finite")
+
+
 def refine_step(data: HermiteData, mask: MaskTriple) -> HermiteData:
     """One dyadic step: even output slots copy the input bitwise; each odd
     slot is the local Hermite interpolant of the bracketing nodes evaluated
@@ -166,10 +171,12 @@ def subdivide(freq: Frequency, data0: HermiteData, levels: int) -> HermiteData:
 
     Values are exact to a few eps of the data scale; derivatives to a
     relative c eps 2^levels (see refine_step).  Raises DomainError before
-    allocating anything if the result would exceed MAX_NODES nodes.
+    allocating anything if data0 is not finite or the result would exceed
+    MAX_NODES nodes.
     """
     if levels < 0:
         raise ValueError(f"levels must be nonnegative, got {levels!r}")
+    _check_finite(data0)
     check_node_budget(len(data0), data0.periodic, levels)
     data = data0
     for j in range(levels):
@@ -181,7 +188,12 @@ def subdivide(freq: Frequency, data0: HermiteData, levels: int) -> HermiteData:
 class ScalarControl:
     """Bezier control points of the level-j representation: the node n of
     the Hermite data owns points[2n] (incoming handle) and points[2n+1]
-    (outgoing handle), so there are twice as many points as nodes."""
+    (outgoing handle), so there are twice as many points as nodes.
+
+    Finiteness is not checked here, because every refinement level builds
+    one of these: ``hermite_to_scalar`` checks the Hermite data it converts,
+    before allocating the control points.
+    """
 
     points: np.ndarray
     level: int
@@ -189,6 +201,8 @@ class ScalarControl:
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
+        if pts.ndim == 0:
+            raise ValueError("control points need an index axis, got a 0-d value")
         if len(pts) % 2 != 0:
             raise ValueError("control points come in per-node pairs")
         if len(pts) < 2:
@@ -207,7 +221,9 @@ def _handle_offset(freq: Frequency, j: int) -> float:
 
 
 def hermite_to_scalar(freq: Frequency, j: int, data: HermiteData) -> ScalarControl:
-    """Convert level-j Hermite samples to their Bezier control polygon."""
+    """Convert level-j Hermite samples to their Bezier control polygon;
+    DomainError if they are not finite."""
+    _check_finite(data)
     step = _handle_offset(freq, j) * data.derivs
     pts = np.empty((2 * len(data),) + data.values.shape[1:])
     np.subtract(data.values, step, out=pts[0::2])

@@ -289,6 +289,58 @@ def test_frequency_caches_are_bounded():
         Frequency(1.0 + 1099e-6))
 
 
+def test_diagnostics_report_the_three_caches():
+    from exphermite import diagnostics
+
+    before = diagnostics()
+    assert set(before) == {"make_generators", "gram_entries", "bernstein_basis"}
+    for info in before.values():
+        assert list(info) == ["currsize", "maxsize", "hits", "misses"]
+        assert info["maxsize"] == 1024
+    freq = Frequency(1.0 + 0.5 ** 40)   # no other test uses this frequency
+    make_generators(freq)
+    make_generators(freq)
+    after = diagnostics()["make_generators"]
+    assert after["misses"] == before["make_generators"]["misses"] + 1
+    assert after["hits"] == before["make_generators"]["hits"] + 1
+    assert after["currsize"] == make_generators.cache_info().currsize
+
+
+def counting(monkeypatch, module, names):
+    """Wrap module-level functions by name; returns their call counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.5 * 1e-4, 2.0])
+def test_one_kernel_pair_per_distinct_argument(monkeypatch, w0):
+    import exphermite.basis as basis
+    from exphermite import BezierSegment, bernstein_basis
+
+    freq = Frequency(w0)
+    expected = 0 if freq.is_small else 1
+    data = HermiteData(np.arange(6.0), np.ones(6))
+    bernstein_basis(freq)
+    calls = counting(monkeypatch, basis, ["x_minus_sin", "one_minus_cos"])
+    # the 8 boundary residuals of a fresh construction share the pairs at 0, 1
+    basis.make_generators.__wrapped__(freq)
+    assert calls == dict.fromkeys(calls, 2 * expected)
+    for x in (2.5, np.linspace(0.0, 5.0, 11)):
+        calls.update(dict.fromkeys(calls, 0))
+        spline_eval(freq, data, x)   # 8 pieces at t and 1 - t
+        assert calls == dict.fromkeys(calls, 2 * expected)
+        calls.update(dict.fromkeys(calls, 0))
+        BezierSegment(0.0, 1.0, 2.0, 3.0, freq).value(x / 5.0)   # 4 pieces at t
+        assert calls == dict.fromkeys(calls, expected)
+
+
 def test_array_calls_match_scalar_calls():
     f = Frequency(2.0)
     xs = np.linspace(-1.5, 1.5, 31)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exphermite import (
+    SMALL_FREQ_THRESHOLD,
+    BezierSegment,
     DomainError,
     Frequency,
     annihilation_weights,
@@ -19,6 +21,7 @@ from exphermite import (
     endpoint_slope,
     hermite_to_bezier,
 )
+from exphermite.frequency import one_minus_cos, x_minus_sin
 
 OMEGA_GRID = [0.05, 0.5, 1.0, 2.0, 3 * math.pi / 4, math.pi]
 
@@ -245,3 +248,38 @@ def test_domain_errors():
         bernstein(f, 0, -0.2)
     with pytest.raises(DomainError):
         hermite_to_bezier(f, 2.0, 0.0, 0.0, 0.0, 0.0)  # h * w0 > pi
+
+
+def per_piece_value(piece, x):
+    """One piece on its own, with its own kernel pair: the evaluation the
+    shared-kernel path replaced, written out independently of E4Piece."""
+    if piece.freq.is_small:
+        return piece.a + x * (piece.b + x * (piece.c + x * piece.d))
+    t = piece.freq.omega0 * x
+    return (piece.value0 + piece.slope0 * x - piece.c * one_minus_cos(t)
+            - piece.d * x_minus_sin(t))
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.99 * SMALL_FREQ_THRESHOLD,
+                                1.01 * SMALL_FREQ_THRESHOLD, 0.5, math.pi])
+def test_segment_value_matches_per_piece_sum_bitwise(w0):
+    # sum_l b_l(t) (x) p_l, one kernel pair per piece
+    freq = Frequency(w0)
+    pieces = bernstein_basis(freq).pieces
+    rng = np.random.default_rng(7)
+    controls = [rng.normal(size=4).tolist(), list(rng.normal(size=(4, 2))),
+                list(rng.normal(size=(4, 3)))]
+    params = [0.0, 0.3, 1.0, rng.random(9), rng.random((3, 4))]
+    for ctrl in controls:
+        segment = BezierSegment(*ctrl, freq=freq)
+        for t in params:
+            b0, b1, b2, b3 = (per_piece_value(piece, t) for piece in pieces)
+            assert all(np.array_equal(piece.value(t), per_piece_value(piece, t))
+                       for piece in pieces)
+            expected = (
+                np.multiply.outer(b0, ctrl[0]) + np.multiply.outer(b1, ctrl[1])
+                + np.multiply.outer(b2, ctrl[2]) + np.multiply.outer(b3, ctrl[3])
+            )
+            got = segment.value(t)
+            assert np.shape(got) == np.shape(t) + np.shape(ctrl[0])
+            assert np.array_equal(got, expected)

@@ -639,3 +639,47 @@ def test_cli_flags_end_in_documented_exit_codes(circle_document, argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 2, 3, 4)
+
+
+def _run_main(argv, capsys, fresh):
+    """(exit code, stdout, stderr) of one main call; ``fresh`` drops the
+    process's parser first, so the call builds its own."""
+    if fresh:
+        cli._parser.cache_clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_matches_fresh_parsers(tmp_path, capsys):
+    doc = str(write_circle(tmp_path))
+    svg = tmp_path / "out.svg"
+    argvs = [
+        ["subdivide", doc, "--levels", "2"],
+        ["render", doc, "--samples-per-span", "8", "--handles", "--out", str(svg)],
+        ["subdivide", doc, "--levels", "-1"],
+        ["basis", "--omega0", "1", "--bogus"],
+        ["--version"],
+        ["verify", "--suite", "masks", "--omega0", "3pi/4"],
+        ["subdivide", doc, "--scheme", "scalar"],
+        ["render", doc, "--samples-per-span", "0"],
+        ["verify", "--omega0", "pi"],
+    ]
+    fresh = [_run_main(argv, capsys, fresh=True) for argv in argvs]
+    cli._parser.cache_clear()
+    for _ in range(2):
+        shared = [_run_main(argv, capsys, fresh=False) for argv in argvs]
+        assert shared == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0, 0, 2, 0]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_handlers_are_looked_up_per_call(capsys, monkeypatch):
+    main(["verify", "--suite", "masks", "--omega0", "1"])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.suite) or 7)
+    assert main(["verify", "--suite", "riesz", "--omega0", "1"]) == 7
+    assert seen == ["riesz"]

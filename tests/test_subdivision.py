@@ -341,6 +341,30 @@ def test_scalar_refine_rejects_edge_inputs():
     assert out.node_count() == 2
 
 
+def test_zero_dimensional_samples_raise_value_error():
+    with pytest.raises(ValueError, match="index axis"):
+        HermiteData(1.0, 2.0)
+    with pytest.raises(ValueError, match="index axis"):
+        ScalarControl(1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["values", "derivs"])
+def test_non_finite_samples_refused_before_allocation(monkeypatch, bad, field):
+    curve = unit_circle(4)
+    parts = {"values": curve.points.copy(), "derivs": curve.tangents.copy()}
+    parts[field][2, 1] = bad
+    data = HermiteData(parts["values"], parts["derivs"], periodic=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before refusing non-finite samples")
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(DomainError, match="finite"):
+        subdivide(curve.freq, data, 3)
+    with pytest.raises(DomainError, match="finite"):
+        hermite_to_scalar(curve.freq, 0, data)
+
+
 def _de_casteljau_midpoint(p0, p1, p2, p3):
     """Inner control points of the two halves of a cubic Bezier segment:
     (p0+p1)/2, (p0+2p1+p2)/4 | (p1+2p2+p3)/4, (p2+p3)/2."""
