@@ -36,7 +36,7 @@ from .document import (
     refined_document,
     render_svg,
 )
-from .frequency import DomainError, Frequency, SMALL_FREQ_THRESHOLD
+from .frequency import DomainError, Frequency
 from .gram import (
     GramEntries,
     det_scan_min,
@@ -96,7 +96,6 @@ __all__ = [
     "HermiteData",
     "MAX_NODES",
     "MaskTriple",
-    "SMALL_FREQ_THRESHOLD",
     "ScalarControl",
     "annihilation_weights",
     "bernstein",

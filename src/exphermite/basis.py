@@ -10,72 +10,60 @@ closed curves built on them reproduce ellipses exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .frequency import (
     Frequency,
-    one_minus_cos,
-    s_factor,
-    sin_minus_x_cos,
-    x_minus_sin,
+    sin_minus_x_cos_scaled,
+    sin_over,
+    sinc,
+    x_minus_sin_scaled,
 )
 
 
+def _k1(freq: Frequency, x):
+    """(1 - cos(w x)) / w^2 = (sin(w x / 2) / (w / 2))^2 / 2; x^2 / 2 at
+    w = 0."""
+    half = sin_over(0.5 * freq.omega0, x)
+    return 0.5 * half * half
+
+
+def _k2(freq: Frequency, x):
+    """(w x - sin(w x)) / w^3 = x^3 (t - sin t) / t^3 at t = w x; x^3 / 6 at
+    w = 0."""
+    return x * x * x * x_minus_sin_scaled(freq.omega0 * x)
+
+
 def piece_kernels(freq: Frequency, x):
-    """The pair (1 - cos(w x), w x - sin(w x)) that every regular-path piece
-    of frequency w combines at x (float or array); None on the cubic path,
-    whose pieces are plain polynomials."""
-    if freq.is_small:
-        return None
-    t = freq.omega0 * x
-    return one_minus_cos(t), x_minus_sin(t)
+    """The pair (K1, K2) = ((1 - cos(w x)) / w^2, (w x - sin(w x)) / w^3)
+    that every piece of frequency w combines at x (float or array).  Both
+    are entire in w, so one formula serves all of [0, pi]."""
+    return _k1(freq, x), _k2(freq, x)
 
 
 @dataclass(frozen=True)
 class E4Piece:
-    """One segment on [0, 1] of the four-dimensional exponential family.
+    """One segment on [0, 1] of the four-dimensional family
+    span{1, x, cos(w x), sin(w x)}, stored as its value and slope at x = 0
+    and two scaled coefficients C and D:
 
-    For a regular frequency the segment is
-        a + b*x + c*cos(w x) + d*sin(w x);
-    when ``freq.is_small`` the same slots hold monomial coefficients
-        a + b*x + c*x^2 + d*x^3
-    (the cubic limit of the family).
+        value(x) = value0 + slope0*x - C*K1(x) - D*K2(x)
 
-    Evaluation never sums the raw terms: near w = 0 the coefficients grow
-    like 1/w^3 and the naive sum loses all significant digits.  Instead the
-    segment start data (value and slope at x = 0) are stored explicitly and
-    the trigonometric part enters only through the small differences
-    1 - cos and x - sin, each computed with eps-level relative error:
-
-        value(x) = value0 + slope0*x - c*(1 - cos(w x)) - d*(w x - sin(w x))
+    with the kernels K1, K2 of ``piece_kernels``.  In the trigonometric
+    basis the same segment has cos and sin coefficients C/w^2 and D/w^3,
+    which grow like 1/w^3 near w = 0 and cancel to every digit when summed
+    raw; C and D themselves stay bounded, and at w = 0 the segment is the
+    cubic value0 + slope0 x - C x^2/2 - D x^3/6.
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    value0: float
+    slope0: float
+    C: float
+    D: float
     freq: Frequency
-    value0: float = field(default=math.nan)
-    slope0: float = field(default=math.nan)
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.value0):
-            object.__setattr__(self, "value0", self.a + self.c)
-        if math.isnan(self.slope0):
-            w = self.freq.omega0
-            slope = self.b if self.freq.is_small else self.b + self.d * w
-            object.__setattr__(self, "slope0", slope)
-
-    @classmethod
-    def from_stable_parts(
-        cls, value0: float, slope0: float, c: float, d: float, freq: Frequency
-    ) -> "E4Piece":
-        """Build from exact start data plus trig coefficients (regular path)."""
-        w = freq.omega0
-        return cls(value0 - c, slope0 - d * w, c, d, freq, value0, slope0)
 
     def value(self, x):
         """The segment at a float x, or elementwise on an array."""
@@ -88,37 +76,20 @@ class E4Piece:
         share both (a generator pair, the Bernstein basis) compute it once
         and each combine it here.
         """
-        if self.freq.is_small:
-            return self.a + x * (self.b + x * (self.c + x * self.d))
-        one_minus_cos_wx, wx_minus_sin_wx = kernels
-        return (
-            self.value0
-            + self.slope0 * x
-            - self.c * one_minus_cos_wx
-            - self.d * wx_minus_sin_wx
-        )
+        k1, k2 = kernels
+        return self.value0 + self.slope0 * x - self.C * k1 - self.D * k2
 
     def derivative(self) -> "E4Piece":
-        if self.freq.is_small:
-            return E4Piece(self.b, 2.0 * self.c, 3.0 * self.d, 0.0, self.freq)
+        """The segment's derivative: K1' = x - w^2 K2 and K2' = K1."""
         w = self.freq.omega0
-        return E4Piece.from_stable_parts(
-            self.slope0, -self.c * w * w, self.d * w, -self.c * w, self.freq
-        )
+        return E4Piece(self.slope0, -self.C, self.D, -self.C * w * w, self.freq)
 
     def reflected(self, value1: float, slope1: float) -> "E4Piece":
         """The segment x -> value(1 - x), given its exact data at x = 1."""
-        if self.freq.is_small:
-            a, b, c, d = self.a, self.b, self.c, self.d
-            return E4Piece(
-                a + b + c + d, -(b + 2.0 * c + 3.0 * d), c + 3.0 * d, -d, self.freq
-            )
         w = self.freq.omega0
-        cw, sw = math.cos(w), math.sin(w)
-        return E4Piece.from_stable_parts(
-            value1, -slope1, self.c * cw + self.d * sw, self.c * sw - self.d * cw,
-            self.freq,
-        )
+        cw, sw = math.cos(w), sinc(w)
+        return E4Piece(value1, -slope1, self.C * cw + self.D * sw,
+                       self.C * w * w * sw - self.D * cw, self.freq)
 
 
 @dataclass(frozen=True)
@@ -139,9 +110,6 @@ class GeneratorPair:
         return self.g2.derivative()
 
 
-_CUBIC_G1 = (1.0, 0.0, -3.0, 2.0)   # (2x+1)(x-1)^2
-_CUBIC_G2 = (0.0, 1.0, -2.0, 1.0)   # x(x-1)^2
-
 _BOUNDARY_TOL = 1e-9
 
 
@@ -149,27 +117,26 @@ _BOUNDARY_TOL = 1e-9
 def make_generators(freq: Frequency) -> GeneratorPair:
     """Construct the generator pair for a frequency in [0, pi].
 
-    Regular-path coefficients come from the closed forms
-        g1:  1 - sin(w/2)/s + (w cos(w/2)/s) x + sin(w/2 - w x)/s
-        g2:  solved from the four Hermite boundary conditions,
-    with s = 2 sin(w/2) - w cos(w/2), rearranged into stable-kernel form.
+    With u = w/2, sinc(u) = sin(u)/u and S3(u) = (sin u - u cos u) / u^3,
+    the scaled coefficients are
+        g1:  C = 2 sinc(u) / S3(u),  D = -4 cos(u) / S3(u)
+        g2:  C = 4 S3(w) / (sinc(u) S3(u)),  D = 2 (sinc(u) - 2 cos(u)) / S3(u).
+    They are the closed form 1 - sin(u)/s + (w cos(u)/s) x + sin(u - w x)/s
+    of g1 and the g2 solved from its four Hermite conditions, with the
+    common denominator s = 2 sin(u) - w cos(u) = w^3 S3(u) / 4 divided out.
+    No ratio cancels, and at w = 0 they are the cubic (6, -12) and (4, -6).
     The eight boundary conditions are checked before returning.
     """
-    if freq.is_small:
-        g1 = E4Piece(*_CUBIC_G1, freq)
-        g2 = E4Piece(*_CUBIC_G2, freq)
-        return GeneratorPair(g1, g2, freq)
-
     w = freq.omega0
-    s = s_factor(w)
-    half_sin = math.sin(0.5 * w)
-    half_cos = math.cos(0.5 * w)
-    g1 = E4Piece.from_stable_parts(1.0, 0.0, half_sin / s, -half_cos / s, freq)
-    # sin(w/2) - w cos(w/2) = sin(u) - 2u cos(u) at u = w/2: no cancellation,
-    # the leading behaviour is -w/2.
-    gamma = sin_minus_x_cos(w) / (2.0 * w * half_sin * s)
-    delta = (half_sin - w * half_cos) / (w * s)
-    g2 = E4Piece.from_stable_parts(0.0, 1.0, gamma, delta, freq)
+    u = 0.5 * w
+    half_sinc, half_cos = sinc(u), math.cos(u)
+    half_s3 = sin_minus_x_cos_scaled(u)
+    g1 = E4Piece(1.0, 0.0, 2.0 * half_sinc / half_s3, -4.0 * half_cos / half_s3,
+                 freq)
+    g2 = E4Piece(
+        0.0, 1.0, 4.0 * sin_minus_x_cos_scaled(w) / (half_sinc * half_s3),
+        2.0 * (half_sinc - 2.0 * half_cos) / half_s3, freq,
+    )
 
     pair = GeneratorPair(g1, g2, freq)
     at0, at1 = piece_kernels(freq, 0.0), piece_kernels(freq, 1.0)
@@ -193,11 +160,11 @@ def _check_which(which: int) -> None:
 
 def _extend(piece: E4Piece, odd: bool, x):
     """A piece on [0, 1] extended evenly (or oddly) to (-1, 1) and by zero
-    outside, at a float or at every entry of an array.  Outside points
-    evaluate the piece at 1 and multiply it by 0."""
+    outside, at a finite float or at every entry of an array.  Outside
+    points evaluate the piece at 0 and multiply it by 0."""
     ax = abs(x)
     inside = ax < 1.0
-    val = piece.value(np.minimum(ax, 1.0))
+    val = piece.value(ax * inside)
     if odd:
         val = val * (1 - 2 * (x < 0.0))
     return val * inside
@@ -286,6 +253,11 @@ def spline_eval(freq: Frequency, data: HermiteData, x):
     segment of that interval; integer x returns the stored sample (the
     shared C^1 limit equals it by the interpolation conditions).  Results
     have the shape of x, followed by the point shape for (L, dim) data.
+
+    The sample values enter through the partition of unity g1(t) +
+    g1(1 - t) = 1, as v0 + (v1 - v0) g1(1 - t): constants come back
+    bitwise, and the rounding error scales with the jump v1 - v0, not with
+    the size of the values.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -299,15 +271,18 @@ def spline_eval(freq: Frequency, data: HermiteData, x):
     v1, d1 = values[..., i1], derivs[..., i1]
     pair = make_generators(freq)
     t1 = 1.0 - t
-    # one kernel pair per argument, shared by the four pieces evaluated there
+    # one kernel pair per argument, shared by the pieces evaluated there
     k0, k1 = piece_kernels(freq, t), piece_kernels(freq, t1)
+    # g1(t) = 1 - g1(1 - t), so the value terms are v0 + (v1 - v0) g1(1 - t)
+    # and the slope terms (v0 - v1) g1'(1 - t)
+    jump = v1 - v0
     value = (
-        v0 * pair.g1.at(t, k0) + d0 * pair.g2.at(t, k0)
-        + v1 * pair.g1.at(t1, k1) - d1 * pair.g2.at(t1, k1)
+        v0 + jump * pair.g1.at(t1, k1)
+        + d0 * pair.g2.at(t, k0) - d1 * pair.g2.at(t1, k1)
     )
     deriv = (
-        v0 * pair.dg1.at(t, k0) + d0 * pair.dg2.at(t, k0)
-        - v1 * pair.dg1.at(t1, k1) + d1 * pair.dg2.at(t1, k1)
+        d0 * pair.dg2.at(t, k0) + d1 * pair.dg2.at(t1, k1)
+        - jump * pair.dg1.at(t1, k1)
     )
     at_node = t == 0.0
     coords = range(data.values.ndim - 1)

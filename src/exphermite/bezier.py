@@ -16,30 +16,28 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import E4Piece, make_generators, piece_kernels
-from .frequency import DomainError, Frequency, one_minus_cos, x_minus_sin
+from .frequency import DomainError, Frequency, sinc, x_minus_sin_scaled
 
 
 def conversion_ratio(freq: Frequency) -> float:
-    """Handle-offset ratio lam(w) = (w - sin w) / (w (1 - cos w)); exactly
-    1/3 on the small-frequency path.
+    """Handle-offset ratio lam(w) = (w - sin w) / (w (1 - cos w)), taken as
+    2 S2(w) / sinc^2(w/2) with S2(w) = (w - sin w) / w^3; 1/3 at w = 0.
 
     Equal to the closed form r/(r - p) of the exponential derivation, with
     r = 1 + 2 i w e^{iw} - e^{2 i w} and p = e^{2 i w}(i w - 1) + i w + 1;
     this real rearrangement avoids the O(w^3) cancellation of r itself.
     """
-    if freq.is_small:
-        return 1.0 / 3.0
     w = freq.omega0
-    return x_minus_sin(w) / (w * one_minus_cos(w))
+    half = sinc(0.5 * w)
+    return 2.0 * x_minus_sin_scaled(w) / (half * half)
 
 
 def endpoint_slope(freq: Frequency) -> float:
     """Derivative of the first Bernstein piece at 0:
-    kappa(w) = w (cos w - 1) / (w - sin w) = -1 / lam(w); -3 in the limit."""
-    if freq.is_small:
-        return -3.0
+    kappa(w) = w (cos w - 1) / (w - sin w) = -1 / lam(w); -3 at w = 0."""
     w = freq.omega0
-    return -w * one_minus_cos(w) / x_minus_sin(w)
+    half = sinc(0.5 * w)
+    return -half * half / (2.0 * x_minus_sin_scaled(w))
 
 
 @dataclass(frozen=True)
@@ -50,14 +48,6 @@ class BernsteinBasis:
     freq: Frequency
     lam: float
     kappa: float
-
-
-_CUBIC_BERNSTEIN = (
-    (1.0, -3.0, 3.0, -1.0),   # (1-x)^3
-    (0.0, 3.0, -6.0, 3.0),    # 3x(1-x)^2
-    (0.0, 0.0, 3.0, -3.0),    # 3x^2(1-x)
-    (0.0, 0.0, 0.0, 1.0),     # x^3
-)
 
 
 @lru_cache(maxsize=1024)
@@ -71,15 +61,10 @@ def bernstein_basis(freq: Frequency) -> BernsteinBasis:
     """
     lam = conversion_ratio(freq)
     kappa = endpoint_slope(freq)
-    if freq.is_small:
-        pieces = tuple(E4Piece(*quad, freq) for quad in _CUBIC_BERNSTEIN)
-        return BernsteinBasis(pieces, freq, lam, kappa)
     pair = make_generators(freq)
     g1, g2 = pair.g1, pair.g2
-    b0 = E4Piece.from_stable_parts(
-        1.0, kappa, g1.c + kappa * g2.c, g1.d + kappa * g2.d, freq
-    )
-    b1 = E4Piece.from_stable_parts(0.0, -kappa, -kappa * g2.c, -kappa * g2.d, freq)
+    b0 = E4Piece(1.0, kappa, g1.C + kappa * g2.C, g1.D + kappa * g2.D, freq)
+    b1 = E4Piece(0.0, -kappa, -kappa * g2.C, -kappa * g2.D, freq)
     # mirrored ends are exact zeros: value and slope of b0, b1 vanish at 1
     b2 = b1.reflected(0.0, 0.0)
     b3 = b0.reflected(0.0, 0.0)

@@ -22,39 +22,38 @@ import math
 
 import numpy as np
 
-from .basis import _check_which, phi
-from .frequency import Frequency, one_minus_cos, s_factor, x_minus_sin
+from .basis import _check_which, _k1, _k2, phi
+from .frequency import (
+    Frequency,
+    sin_minus_x_cos_scaled,
+    sin_over,
+    sinc,
+    x_minus_sin_scaled,
+)
 
 
 def rho(freq: Frequency, which: int, x):
-    """Green's functions: rho1(x) = (w x - sin(w x)) sgn(x) / (2 w^3) and
-    rho2(x) = (1 - cos(w x)) sgn(x) / (2 w^2), with the w -> 0 limits
-    |x|^3/12 and x|x|/4.  Both vanish at 0, which makes parity exact."""
+    """Green's functions: rho1(x) = (w |x| - sin(w |x|)) / (2 w^3) and
+    rho2(x) = (1 - cos(w x)) sgn(x) / (2 w^2), half the piece kernels K2 and
+    K1 at |x|; |x|^3/12 and x|x|/4 at w = 0.  Both vanish at 0, which makes
+    parity exact."""
     _check_which(which)
     ax = abs(x)
-    if freq.is_small:
-        return ax**3 / 12.0 if which == 1 else x * ax / 4.0
-    w = freq.omega0
     if which == 1:
-        return x_minus_sin(w * ax) / (2.0 * w**3)
-    return (1 - 2 * (x < 0.0)) * one_minus_cos(w * ax) / (2.0 * w * w)
+        return 0.5 * _k2(freq, ax)
+    return (1 - 2 * (x < 0.0)) * 0.5 * _k1(freq, ax)
 
 
 def _rho2_deriv(freq: Frequency, x):
-    """rho2'(x) = sin(w |x|) / (2 w), with the w -> 0 limit |x| / 2."""
-    ax = abs(x)
-    if freq.is_small:
-        return ax / 2.0
-    w = freq.omega0
-    return np.sin(w * ax) / (2.0 * w)
+    """rho2'(x) = sin(w |x|) / (2 w); |x| / 2 at w = 0."""
+    return 0.5 * sin_over(freq.omega0, abs(x))
 
 
 def annihilation_weights(freq: Frequency, order: int) -> np.ndarray:
     """Real taps of (1 - z)^(order - 2) (1 - 2 cos(w) z + z^2) for order 3
-    or 4; weight k multiplies f(x - k).  w is the frequency actually
-    evaluated, so cos w = 1 on the cubic path.  The filter kills 1, cos(w x)
-    and sin(w x), and for order 4 also x."""
-    c = 1.0 if freq.is_small else math.cos(freq.omega0)
+    or 4; weight k multiplies f(x - k).  The filter kills 1, cos(w x) and
+    sin(w x), and for order 4 also x."""
+    c = math.cos(freq.omega0)
     if order == 3:
         return np.array([1.0, -1.0 - 2.0 * c, 1.0 + 2.0 * c, -1.0])
     if order == 4:
@@ -63,30 +62,24 @@ def annihilation_weights(freq: Frequency, order: int) -> np.ndarray:
 
 
 def _normalization(freq: Frequency) -> float:
-    """(w / (2 sin(w/2)))^2, the partition-of-unity normalizer; 1 at w = 0."""
-    if freq.is_small:
-        return 1.0
-    w = freq.omega0
-    r = 0.5 * w / math.sin(0.5 * w)
+    """(w / (2 sin(w/2)))^2 = 1 / sinc^2(w/2), the partition-of-unity
+    normalizer; 1 at w = 0."""
+    r = 1.0 / sinc(0.5 * freq.omega0)
     return r * r
 
 
 def _superfunction_terms(freq: Frequency, order: int) -> list[tuple[int, float, float]]:
     """(shift, phi1 weight, phi2 weight) triples expressing B_order as a
     short combination of generator shifts."""
+    w = freq.omega0
     if order == 4:
-        if freq.is_small:
-            g1 = 1.0 / 6.0
-        else:
-            w = freq.omega0
-            g1 = x_minus_sin(w) / (4.0 * w * math.sin(0.5 * w) ** 2)
+        # (w - sin w) / (4 w sin^2(w/2)) = S2(w) / sinc^2(w/2); 1/6 at w = 0
+        half = sinc(0.5 * w)
+        g1 = x_minus_sin_scaled(w) / (half * half)
         return [(1, g1, 0.5), (2, 1.0 - 2.0 * g1, 0.0), (3, g1, -0.5)]
     if order == 3:
-        if freq.is_small:
-            mu = 1.0
-        else:
-            w = freq.omega0
-            mu = 0.5 * w / math.tan(0.5 * w)
+        # (w/2) / tan(w/2) = cos(w/2) / sinc(w/2); 1 at w = 0
+        mu = math.cos(0.5 * w) / sinc(0.5 * w)
         return [(1, 0.5, mu), (2, 0.5, -mu)]
     raise ValueError(f"order must be 3 or 4, got {order!r}")
 
@@ -133,16 +126,17 @@ def rho_from_phi(freq: Frequency, which: int, x):
 
 
 def _localization_coefficients(freq: Frequency) -> tuple[float, float, float]:
-    """(c, c3, c4) = (w^2 sin(w/2) / s, w^3 cos(w/2) / s,
-    w (w - sin w) / (2 s sin(w/2))) with s = 2 sin(w/2) - w cos(w/2);
-    their exact limits (6, 12, 2) on the cubic path."""
-    if freq.is_small:
-        return 6.0, 12.0, 2.0
+    """(c, c3, c4) = (w^2 sin(u) / s, w^3 cos(u) / s, w (w - sin w) / (2 s sin u))
+    with u = w/2 and s = 2 sin(u) - w cos(u) = w^3 S3(u) / 4, taken as
+    (2 sinc(u) / S3(u), 4 cos(u) / S3(u), 4 S2(w) / (sinc(u) S3(u))) with
+    S3(u) = (sin u - u cos u) / u^3 and S2(w) = (w - sin w) / w^3; (6, 12, 2)
+    at w = 0."""
     w = freq.omega0
-    s = s_factor(w)
-    half_sin = math.sin(0.5 * w)
-    return (w * w * half_sin / s, w**3 * math.cos(0.5 * w) / s,
-            w * x_minus_sin(w) / (2.0 * s * half_sin))
+    u = 0.5 * w
+    half_sinc = sinc(u)
+    half_s3 = sin_minus_x_cos_scaled(u)
+    return (2.0 * half_sinc / half_s3, 4.0 * math.cos(u) / half_s3,
+            4.0 * x_minus_sin_scaled(w) / (half_sinc * half_s3))
 
 
 def phi_from_rho(freq: Frequency, which: int, x):

@@ -19,7 +19,13 @@ import numpy as np
 
 from .basis import HermiteData
 from .bezier import conversion_ratio
-from .frequency import DomainError, Frequency, s_factor, x_minus_sin
+from .frequency import (
+    DomainError,
+    Frequency,
+    sin_minus_x_cos_scaled,
+    sinc,
+    x_minus_sin_scaled,
+)
 
 
 @dataclass(frozen=True)
@@ -47,20 +53,16 @@ def masks(freq: Frequency, j: int) -> MaskTriple:
     h = 2.0 ** (-j)
     level_freq = Frequency(freq.omega0 * h)
     w = level_freq.omega0
-    if level_freq.is_small:
-        # cubic-limit (stationary) entries, scaled to the level grid
-        top = h / 8.0
-        bot = 1.5 / h
-        hm1 = np.array([[0.5, -top], [bot, -0.25]])
-        hp1 = np.array([[0.5, top], [-bot, -0.25]])
-    else:
-        s = s_factor(w)
-        top = math.tan(0.25 * w) / (2.0 * w) * h
-        quarter_sin = math.sin(0.25 * w)
-        bot = 2.0 * w * quarter_sin * quarter_sin / s / h
-        diag = -x_minus_sin(0.5 * w) / s
-        hm1 = np.array([[0.5, -top], [bot, diag]])
-        hp1 = np.array([[0.5, top], [-bot, diag]])
+    # with u = w/2 and s = w^3 S3(u) / 4: top = h tan(w/4) / (2w), bot =
+    # 2w sin^2(w/4) / (s h) and diag = -(u - sin u) / s, as ratios of the
+    # scaled kernels; at w = 0 the stationary h/8, 3/(2h) and -1/4
+    quarter_sinc = sinc(0.25 * w)
+    half_s3 = sin_minus_x_cos_scaled(0.5 * w)
+    top = quarter_sinc / (8.0 * math.cos(0.25 * w)) * h
+    bot = quarter_sinc * quarter_sinc / (2.0 * half_s3) / h
+    diag = -x_minus_sin_scaled(0.5 * w) / (2.0 * half_s3)
+    hm1 = np.array([[0.5, -top], [bot, diag]])
+    hp1 = np.array([[0.5, top], [-bot, diag]])
     return MaskTriple(j, hm1, np.eye(2), hp1, level_freq)
 
 

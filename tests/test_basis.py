@@ -58,9 +58,18 @@ G1_QUAD_HALF_PI = (
 PHI2_AT_HALF = 0.14179191079102154
 
 
+def trig_quad(piece) -> tuple[float, float, float, float]:
+    """(a, b, c, d) of a piece in the basis {1, x, cos(w x), sin(w x)}: the
+    scaled coefficients are C = c w^2 and D = d w^3, and value0 = a + c,
+    slope0 = b + d w."""
+    w = piece.freq.omega0
+    c, d = piece.C / w**2, piece.D / w**3
+    return (piece.value0 - c, piece.slope0 - d * w, c, d)
+
+
 def test_g1_quad_matches_complex_oracle():
     g1 = make_generators(Frequency(math.pi / 2)).g1
-    quad = (g1.a, g1.b, g1.c, g1.d)
+    quad = trig_quad(g1)
     oracle = complex_coefficient_oracle(math.pi / 2, 1)
     assert oracle == pytest.approx(G1_QUAD_HALF_PI, rel=1e-14)
     assert quad == pytest.approx(G1_QUAD_HALF_PI, rel=1e-12)
@@ -69,7 +78,7 @@ def test_g1_quad_matches_complex_oracle():
 def test_g2_quad_matches_complex_oracle():
     g2 = make_generators(Frequency(1.0)).g2
     oracle = complex_coefficient_oracle(1.0, 2)
-    assert (g2.a, g2.b, g2.c, g2.d) == pytest.approx(oracle, rel=1e-12)
+    assert trig_quad(g2) == pytest.approx(oracle, rel=1e-12)
 
 
 def expanded_g2_closed_form(w: float, x: float) -> float:
@@ -248,8 +257,11 @@ def test_frequency_domain():
         Frequency(-0.1)
     with pytest.raises(DomainError):
         Frequency(math.pi + 0.1)
-    assert not Frequency(1.0).is_small
-    assert Frequency(0.0).is_small
+    with pytest.raises(DomainError):
+        Frequency(math.nan)
+    # both ends of [0, pi] are admissible, and one formula serves them
+    for w0 in (0.0, math.pi):
+        assert make_generators(Frequency(w0)).freq.omega0 == w0
 
 
 def test_spline_eval_reproduces_constants_and_linears():
@@ -324,21 +336,21 @@ def test_one_kernel_pair_per_distinct_argument(monkeypatch, w0):
     import exphermite.basis as basis
     from exphermite import BezierSegment, bernstein_basis
 
+    # one path for every frequency: 0, below and above the former 1e-4 seam
     freq = Frequency(w0)
-    expected = 0 if freq.is_small else 1
     data = HermiteData(np.arange(6.0), np.ones(6))
     bernstein_basis(freq)
-    calls = counting(monkeypatch, basis, ["x_minus_sin", "one_minus_cos"])
+    calls = counting(monkeypatch, basis, ["_k1", "_k2"])
     # the 8 boundary residuals of a fresh construction share the pairs at 0, 1
     basis.make_generators.__wrapped__(freq)
-    assert calls == dict.fromkeys(calls, 2 * expected)
+    assert calls == dict.fromkeys(calls, 2)
     for x in (2.5, np.linspace(0.0, 5.0, 11)):
         calls.update(dict.fromkeys(calls, 0))
-        spline_eval(freq, data, x)   # 8 pieces at t and 1 - t
-        assert calls == dict.fromkeys(calls, 2 * expected)
+        spline_eval(freq, data, x)   # 6 pieces at t and 1 - t
+        assert calls == dict.fromkeys(calls, 2)
         calls.update(dict.fromkeys(calls, 0))
         BezierSegment(0.0, 1.0, 2.0, 3.0, freq).value(x / 5.0)   # 4 pieces at t
-        assert calls == dict.fromkeys(calls, expected)
+        assert calls == dict.fromkeys(calls, 1)
 
 
 def test_array_calls_match_scalar_calls():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exphermite import (
-    SMALL_FREQ_THRESHOLD,
     BezierSegment,
     DomainError,
     Frequency,
@@ -21,7 +20,7 @@ from exphermite import (
     endpoint_slope,
     hermite_to_bezier,
 )
-from exphermite.frequency import one_minus_cos, x_minus_sin
+from exphermite.frequency import sin_over, x_minus_sin_scaled
 
 OMEGA_GRID = [0.05, 0.5, 1.0, 2.0, 3 * math.pi / 4, math.pi]
 
@@ -253,15 +252,15 @@ def test_domain_errors():
 def per_piece_value(piece, x):
     """One piece on its own, with its own kernel pair: the evaluation the
     shared-kernel path replaced, written out independently of E4Piece."""
-    if piece.freq.is_small:
-        return piece.a + x * (piece.b + x * (piece.c + x * piece.d))
-    t = piece.freq.omega0 * x
-    return (piece.value0 + piece.slope0 * x - piece.c * one_minus_cos(t)
-            - piece.d * x_minus_sin(t))
+    w = piece.freq.omega0
+    half = sin_over(0.5 * w, x)
+    k1, k2 = 0.5 * half * half, x * x * x * x_minus_sin_scaled(w * x)
+    return piece.value0 + piece.slope0 * x - piece.C * k1 - piece.D * k2
 
 
-@pytest.mark.parametrize("w0", [0.0, 0.99 * SMALL_FREQ_THRESHOLD,
-                                1.01 * SMALL_FREQ_THRESHOLD, 0.5, math.pi])
+# 0, both sides of 1e-4 (the switch point of a former cubic-limit path), and
+# two regular frequencies
+@pytest.mark.parametrize("w0", [0.0, 0.99 * 1e-4, 1.01 * 1e-4, 0.5, math.pi])
 def test_segment_value_matches_per_piece_sum_bitwise(w0):
     # sum_l b_l(t) (x) p_l, one kernel pair per piece
     freq = Frequency(w0)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from exphermite import (
-    SMALL_FREQ_THRESHOLD,
     Frequency,
     annihilation_weights,
     bspline,
@@ -83,10 +83,14 @@ def test_annihilation_weights_expand_the_filter():
     # (1 - z)^2 (1 - 2 cos(w) z + z^2)
     assert np.abs(annihilation_weights(Frequency(w), 4)
                   - np.convolve(expected, [1.0, -1.0])).max() < 1e-14
-    # the cubic path evaluates w = 0: the plain third and fourth differences
-    small = Frequency(0.5 * SMALL_FREQ_THRESHOLD)
-    assert annihilation_weights(small, 3).tolist() == [1.0, -3.0, 3.0, -1.0]
-    assert annihilation_weights(small, 4).tolist() == [1.0, -4.0, 6.0, -4.0, 1.0]
+    # at w = 0 the plain third and fourth differences
+    zero = Frequency(0.0)
+    assert annihilation_weights(zero, 3).tolist() == [1.0, -3.0, 3.0, -1.0]
+    assert annihilation_weights(zero, 4).tolist() == [1.0, -4.0, 6.0, -4.0, 1.0]
+    # just above it the filter of the frequency itself, not its w = 0 limit
+    small = 0.5 * 1e-4
+    expected = [1.0, -1.0 - 2 * math.cos(small), 1.0 + 2 * math.cos(small), -1.0]
+    assert annihilation_weights(Frequency(small), 3).tolist() == expected
     with pytest.raises(ValueError):
         annihilation_weights(Frequency(w), 2)
 
@@ -157,13 +161,18 @@ def test_bspline_partition_of_unity(w0):
 
 
 def test_bspline_tiny_frequency_matches_cubic():
-    # both routes evaluate the cubic limit, so they meet the classical cubic
-    # B-spline to rounding; measured 3.1e-16, the bound is twice that
-    f = Frequency(1e-6)
-    for x in (1.0, 2.0, 3.0):
-        expected = classical_cubic_bspline(x)
-        assert abs(bspline(f, 4, x, "green") - expected) <= 2 * 3.1e-16
-        assert abs(bspline(f, 4, x, "superfunction") - expected) <= 2 * 3.1e-16
+    # at w = 0 both routes meet the classical cubic B-spline to rounding
+    # (measured 3.1e-16); at w = 1e-6 the exponential B-spline differs from
+    # the cubic by up to 1.1e-14, an O(w^2) term, and both routes meet the
+    # exact one to the same rounding (measured 2.1e-16).  Bound twice 3.1e-16.
+    for w0, oracle in ((0.0, classical_cubic_bspline),
+                       (1e-6, lambda x: float(exact.bspline(1e-6, 4, x)))):
+        f = Frequency(w0)
+        for x in (1.0, 2.0, 3.0):
+            expected = oracle(x)
+            assert abs(bspline(f, 4, x, "green") - expected) <= 2 * 3.1e-16
+            assert abs(bspline(f, 4, x, "superfunction") - expected) <= 2 * 3.1e-16
+    assert abs(exact.bspline(1e-6, 4, 2.0) - classical_cubic_bspline(2.0)) > 1e-14
 
 
 def test_green_combination_vanishes_outside_support():
@@ -244,7 +253,7 @@ GREEN_FUNCTIONS = {
 def test_array_calls_match_float_calls(name):
     fn = GREEN_FUNCTIONS[name]
     xs = np.linspace(-5.5, 5.5, 89)
-    for w0 in (0.0, 0.5 * SMALL_FREQ_THRESHOLD, 0.7, math.pi):
+    for w0 in (0.0, 0.5 * 1e-4, 0.7, math.pi):
         f = Frequency(w0)
         for k in (1, 2):
             values = fn(f, k, xs)

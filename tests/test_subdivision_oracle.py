@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exphermite import (
-    SMALL_FREQ_THRESHOLD,
     Frequency,
     HermiteData,
     ScalarControl,
@@ -83,10 +82,10 @@ def oracle_scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarCont
 
 @st.composite
 def kernel_cases(draw):
-    # both sides of the seam; deep levels of a regular w cross it too
+    # both sides of 1e-4, the switch point of a former cubic-limit path
     w = draw(st.one_of(
-        st.floats(1e-7, SMALL_FREQ_THRESHOLD, exclude_max=True),
-        st.floats(SMALL_FREQ_THRESHOLD, math.pi),
+        st.floats(1e-7, 1e-4, exclude_max=True),
+        st.floats(1e-4, math.pi),
     ))
     m = draw(st.integers(3, 64))
     # at most 2^14 output nodes keeps the einsum oracle quick

@@ -4,7 +4,11 @@ Each case runs one CLI command and compares the SHA-256 digest of its
 stdout with a digest pinned from the output of commit dd5b0e2 (the last
 commit that formatted one number per call).  The four scalar-scheme digests
 were re-pinned when the scalar step moved onto the vector insertion rule,
-which moved its control points by at most 8.9e-16.  The input documents are
+which moved its control points by at most 8.9e-16.  The eight subdivide and
+four basis digests were re-pinned when every frequency moved onto one
+evaluation path (scaled-kernel pieces, Horner-form series), which moved
+their numbers by at most 1.8e-15; the render digests, printed with fewer
+digits, did not move.  The input documents are
 written here with ``json.dumps``, so they do not depend on the serializer
 under test; one of them holds negative zeros, which the writers print as 0.
 """
@@ -81,21 +85,21 @@ def argv_for(case, paths):
 
 GOLDEN = {
     ("subdivide", "circle", "vector"):
-        "3555c7c619878875ad482abca68173ccd3c9bea85f15eff5a40094902b77d109",
+        "489cf3be3151d45eadffecb96bc72ba1c439ce45e9d57213d699cf4d28bfc951",
     ("subdivide", "circle", "scalar"):
-        "b939e8f8b5a6c0c998b237cde5f167b12609fbe23f6b938343bee3748eeea838",
+        "1d2b0073900dfe357bea1f7f8dd9945da41595f15563f2bd5d17360a2705c55d",
     ("subdivide", "ellipse", "vector"):
-        "050da66d6620cca6a9990de751f892a9437c3a71eb79d056a0acaacac63a2899",
+        "f581142c6878160da7011fa5dd4c12260f8f15b55a77b050ad4e3f64386ed97b",
     ("subdivide", "ellipse", "scalar"):
-        "d77f009d255c29097e18afeb021e564577ae4d212392e12d7144e9dce9e4a565",
+        "eaa431151cc30baaeb366b6b7b1e326213f491fdca9ea169f96aa14ff1784a99",
     ("subdivide", "cusp", "vector"):
-        "fea2123948c6cb311a6fe0229fdf5a65e2fbf8384cc7b7043a8b2a3237a1de4c",
+        "a7393c9a03a3e2ab0db4a1fbb7d1e8c3d5794dd9a68d9ffdd598c530b0c1aeec",
     ("subdivide", "cusp", "scalar"):
-        "dcbcfd30c20f13da76412e69347a5e17ff69b5deee6249d9ee303c071f7b6565",
+        "e9cae799ee3258719b66c498f586e22fcf6215b4c7f90688fd5b8493c0132044",
     ("subdivide", "perturbed", "vector"):
-        "f917935697cbf4127f310ae477307fabb0ba226bc2505654fe3f7b5aaeba7e05",
+        "4aa7291205a43bc7c77c90eac52fe6e369aba6c5b90887b04b2068dc41fae6ed",
     ("subdivide", "perturbed", "scalar"):
-        "354a42010086653d4d72f2720a61015dc107149f898226d04b7a324f24d61899",
+        "7886a675a440f00a863aa822c40ea93ab73ab483857fd6eacf7d6d68ba886f92",
     ("render", "ellipse", "16"):
         "d68c69741ed45b70a748bcc050c88f8a019a1509920c4354c8f5802e74c8020b",
     ("render", "ellipse", "64"):
@@ -105,13 +109,13 @@ GOLDEN = {
     ("render", "perturbed", "64"):
         "17162a8c4e33fd37de32f3940db3b5013b343df6abdf30ff5e6bbd76cac74aa4",
     ("basis", "1", ""):
-        "efa905897d1905dc54bf252ed559704e4c4049df12af76abf16256aea4ee5446",
+        "37c53ad4f0d2d965c2c7dcfe387702b01b795ab25bd82636dfa6114489f7019c",
     ("basis", "1", "deriv"):
-        "32391db1a93bf364f3a8b9a82bb8f70a2c52cee2be7e8649bfdb3419b2097344",
+        "7806e5dc2d3fe5c7524c1ea576b0ade0ce0665f54f655be967e8f696ae97dd37",
     ("basis", "2", ""):
-        "e8204d1ccb22eb15d67c60362a9c754e4afc20a0f0e0ca2de6bd2edfd93d4e53",
+        "0512689c29155783e2899f68d530d45196c6a4f5a4bc2047ccf5224b01b1a979",
     ("basis", "2", "deriv"):
-        "d12f1d885e678ccb9e98c67688ee43d5921c9138be5c8a57f70083c267fe7677",
+        "25a17af3b755af623f49ff6896869c7728c3ff30a40379f59f2f18adb5b99fd2",
 }
 
 
