@@ -14,11 +14,9 @@ def interpolation_error(h: float, w0: float = 1.0) -> float:
     scaled = Frequency(h * w0)
     xs = h * np.arange(int(round(4.0 / h)) + 1)
     data = HermiteData(np.sin(2 * xs), 2 * h * np.cos(2 * xs))
-    worst = 0.0
-    for x in np.linspace(0.25, 3.75, 701):
-        value, _ = spline_eval(scaled, data, float(x) / h)
-        worst = max(worst, abs(float(value) - math.sin(2 * float(x))))
-    return worst
+    x = np.linspace(0.25, 3.75, 701)
+    values, _ = spline_eval(scaled, data, x / h)
+    return float(np.abs(values - np.sin(2 * x)).max())
 
 
 def main() -> None:

@@ -103,15 +103,13 @@ def test_criterion_05_green_identities():
     worst = 0.0
     for w0 in (1.0, 3 * math.pi / 4):
         f = Frequency(w0)
-        for x in np.linspace(-5.0, 5.0, 201):
-            x = float(x)
-            for which in (1, 2):
-                worst = max(
-                    worst, abs(rho_from_phi(f, which, x) - rho(f, which, x))
-                )
-                worst = max(
-                    worst, abs(phi_from_rho(f, which, x) - phi(f, which, x))
-                )
+        x = np.linspace(-5.0, 5.0, 201)
+        for which in (1, 2):
+            worst = max(
+                worst,
+                float(np.abs(rho_from_phi(f, which, x) - rho(f, which, x)).max()),
+                float(np.abs(phi_from_rho(f, which, x) - phi(f, which, x)).max()),
+            )
     report(5, "Green's-function identities", worst < 1e-10, worst, 1e-10)
 
 
@@ -120,16 +118,15 @@ def test_criterion_06_bspline_dual_construction():
     for w0 in (1.0, 3 * math.pi / 4):
         f = Frequency(w0)
         for order in (3, 4):
-            for x in np.linspace(-0.5, order + 0.5, 401):
-                x = float(x)
-                worst = max(
-                    worst,
-                    abs(bspline(f, order, x, "green")
-                        - bspline(f, order, x, "superfunction")),
-                )
-        for x in np.linspace(0.0, 1.0, 257, endpoint=False):
-            total = sum(bspline(f, 4, float(x) + k) for k in range(4))
-            worst = max(worst, abs(total - 1.0))
+            x = np.linspace(-0.5, order + 0.5, 401)
+            worst = max(
+                worst,
+                float(np.abs(bspline(f, order, x, "green")
+                             - bspline(f, order, x, "superfunction")).max()),
+            )
+        x = np.linspace(0.0, 1.0, 257, endpoint=False)
+        total = sum(bspline(f, 4, x + k) for k in range(4))
+        worst = max(worst, float(np.abs(total - 1.0).max()))
     report(6, "B-spline dual construction + partition", worst < 1e-10, worst, 1e-10)
     support_ok = all(
         bspline(Frequency(w0), order, x, method) == 0.0
@@ -206,11 +203,9 @@ def interpolation_error(h: float) -> float:
     scaled = Frequency(h * w0)
     xs = h * np.arange(int(round(4.0 / h)) + 1)
     data = HermiteData(np.sin(2 * xs), 2 * h * np.cos(2 * xs))
-    worst = 0.0
-    for x in np.linspace(0.25, 3.75, 701):
-        value, _ = spline_eval(scaled, data, float(x) / h)
-        worst = max(worst, abs(float(value) - math.sin(2 * float(x))))
-    return worst
+    x = np.linspace(0.25, 3.75, 701)
+    values, _ = spline_eval(scaled, data, x / h)
+    return float(np.abs(values - np.sin(2 * x)).max())
 
 
 def test_criterion_10_fourth_order_approximation():
@@ -228,15 +223,13 @@ def test_criterion_11_bezier_limits_and_properties():
     worst_pou, worst_sym, worst_neg = 0.0, 0.0, 0.0
     for w0 in (0.5, 1.5, 3 * math.pi / 4, math.pi):
         f = Frequency(w0)
-        for x in np.linspace(0.0, 1.0, 301):
-            x = float(x)
-            vals = [bernstein(f, ell, x) for ell in range(4)]
-            worst_pou = max(worst_pou, abs(sum(vals) - 1.0))
-            worst_neg = max(worst_neg, max(-v for v in vals))
-            for ell in range(4):
-                worst_sym = max(
-                    worst_sym, abs(vals[ell] - bernstein(f, 3 - ell, 1.0 - x))
-                )
+        x = np.linspace(0.0, 1.0, 301)
+        vals = np.array([bernstein(f, ell, x) for ell in range(4)])
+        worst_pou = max(worst_pou, float(np.abs(vals.sum(axis=0) - 1.0).max()))
+        worst_neg = max(worst_neg, float((-vals).max()))
+        for ell in range(4):
+            worst_sym = max(worst_sym, float(
+                np.abs(vals[ell] - bernstein(f, 3 - ell, 1.0 - x)).max()))
     ok = worst_pou < 1e-12 and worst_sym < 1e-12 and worst_neg < 1e-12
     report(11, "bernstein partition/symmetry/nonnegativity", ok,
            max(worst_pou, worst_sym, worst_neg), 1e-12)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -585,6 +586,87 @@ def test_format_rows_matches_format_number(values):
     block = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
     expected = "; ".join(f"<{format_number(x)}|{format_number(y)}>" for x, y in block)
     assert format_rows(block, "<%.17g|%.17g>", "; ") == expected
+
+
+# the two conversions the package writes, as (row template, separator)
+CONVERSIONS = [("[%.17g, %.17g]", ", "), ("%.6f,%.6f", " L ")]
+
+
+def _percent_oracle(block, row, sep):
+    # one number at a time through Python's own %; -0.0 prints as 0
+    return sep.join(row % tuple(r) for r in (np.asarray(block) + 0.0).tolist())
+
+
+def _assert_same_text(block, row, sep):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        text = format_rows(block, row, sep)
+    expected = _percent_oracle(block, row, sep)
+    # name the first differing pieces, not a diff of the whole text
+    wrong = [(got, want) for got, want in zip(text.split(sep), expected.split(sep))
+             if got != want]
+    assert not wrong, wrong[:3]
+    assert len(text) == len(expected) and text == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats() | st.floats(-2e3, 2e3)
+                       | st.floats(1e-5, 1e17).map(lambda x: -x)
+                       | st.integers(-2**30, 2**30).map(lambda i: i / 128),
+                       min_size=1, max_size=64),
+       which=st.sampled_from(CONVERSIONS))
+def test_format_rows_kernel_matches_percent_on_all_doubles(values, which):
+    # tiled to the crossover so that the numpy kernel, not the % form, runs
+    block = np.resize(np.array(values), (document.SMALL_BLOCK_ROWS, 2))
+    _assert_same_text(block, *which)
+
+
+def _adversarial_values():
+    rng = np.random.default_rng(12)
+    # %.17g rounding ties (D + 1/2) 10**-k and their neighbours, every k
+    # of the fixed-notation range
+    k = 16 - rng.integers(-4, 16, 4000)
+    ties = (rng.integers(10**16, 10**17, 4000) + 0.5) * 10.0 ** -k
+    # %.6f ties: (D + 1/2) 1e-6 and the exact ones, multiples of 1/128
+    ties_6f = (rng.integers(0, 10**12, 4000) + 0.5) / 1e6
+    by_128 = rng.integers(-2**20, 2**20, 4000) / 128.0
+    powers = 10.0 ** np.arange(-6, 18)
+    specials = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                500.0078125, 2.0**52, 2.0**53, 1e-4, 1e9, 1e16]
+    values = np.concatenate([
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        ties_6f, np.nextafter(ties_6f, np.inf), np.nextafter(ties_6f, -np.inf),
+        by_128, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        specials])
+    values = np.concatenate([values, -values])
+    return rng.permutation(values)[: len(values) // 2 * 2].reshape(-1, 2)
+
+
+@pytest.mark.parametrize("row,sep", CONVERSIONS)
+def test_format_rows_kernel_matches_percent_on_adversarial_values(row, sep):
+    block = _adversarial_values()
+    assert len(block) > 4 * document.SMALL_BLOCK_ROWS
+    _assert_same_text(block, row, sep)
+
+
+def test_format_rows_writes_exact_6f_ties_to_even():
+    # k/128 with seven decimals is an exact tie: half to even, down or up
+    block = np.full((document.SMALL_BLOCK_ROWS, 2), 500.0078125)
+    block[:, 1] = -3 / 128
+    assert format_rows(block, "%.6f,%.6f", " ").split(" ")[0] == "500.007812,-0.023438"
+
+
+@pytest.mark.parametrize("row,sep", CONVERSIONS)
+def test_format_rows_same_bytes_across_the_crossover(row, sep):
+    # one block just below the crossover (the % form), one at it and one
+    # across a chunk boundary (the kernel) give the same text row for row
+    block = _adversarial_values()[: document._CHUNK_ROWS + 3]
+    small = document.SMALL_BLOCK_ROWS
+    below = format_rows(block[: small - 1], row, sep)
+    at = format_rows(block[:small], row, sep)
+    across = format_rows(block, row, sep)
+    assert at.startswith(below + sep) and across.startswith(at + sep)
+    _assert_same_text(block, row, sep)
 
 
 # --omega0 text: floats of every kind, '<p>pi/<q>' forms including zero
