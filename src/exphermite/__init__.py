@@ -12,8 +12,6 @@ from .basis import (
     make_generators,
     phi,
     phi_deriv,
-    phi_rescaled,
-    phi_rescaled_deriv,
     piece_kernels,
     spline_eval,
 )
@@ -27,7 +25,12 @@ from .bezier import (
     endpoint_slope,
     hermite_to_bezier,
 )
-from .curve import ClosedHermiteCurve, reproduction_check, unit_circle
+from .curve import (
+    ClosedHermiteCurve,
+    reproduction_check,
+    reproduction_errors,
+    unit_circle,
+)
 from .document import (
     CurveDocument,
     DocumentFormatError,
@@ -118,13 +121,12 @@ __all__ = [
     "phi",
     "phi_deriv",
     "phi_from_rho",
-    "phi_rescaled",
-    "phi_rescaled_deriv",
     "piece_kernels",
     "refine_step",
     "refined_document",
     "render_svg",
     "reproduction_check",
+    "reproduction_errors",
     "rho",
     "rho_from_phi",
     "riesz_bounds",

@@ -184,21 +184,6 @@ def phi_deriv(freq: Frequency, which: int, x):
     return _extend(pair.dg1 if which == 1 else pair.dg2, which == 1, x)
 
 
-def phi_rescaled(freq: Frequency, h: float, which: int, x: float) -> float:
-    """Generator for the grid h*Z: phi1^h(x) = phi1_{h w}(x/h) and
-    phi2^h(x) = h * phi2_{h w}(x/h) (renormalized so the slope at 0 is 1)."""
-    scaled = freq.scaled(h)
-    val = phi(scaled, which, x / h)
-    return val if which == 1 else h * val
-
-
-def phi_rescaled_deriv(freq: Frequency, h: float, which: int, x: float) -> float:
-    """Derivative of the rescaled generators on h*Z."""
-    scaled = freq.scaled(h)
-    val = phi_deriv(scaled, which, x / h)
-    return val / h if which == 1 else val
-
-
 @dataclass(frozen=True)
 class HermiteData:
     """Samples (value, first derivative) on a unit-spaced index grid.

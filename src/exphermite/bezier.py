@@ -10,6 +10,7 @@ from the segment endpoints; the offset ratio lam(w) plays the role that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,8 +126,8 @@ def hermite_to_bezier(
 
 def bezier_to_hermite(segment: BezierSegment, h: float):
     """Exact inverse of hermite_to_bezier for the same span length h."""
-    if h <= 0.0:
-        raise DomainError(f"span length h must be positive, got {h!r}")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"span length h must be positive and finite, got {h!r}")
     offset = conversion_ratio(segment.freq) * h
     f0, f1 = segment.p0, segment.p3
     d0 = (segment.p1 - segment.p0) / offset

@@ -19,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import __version__
 from .basis import phi, phi_deriv
-from .curve import reproduction_check
+from .curve import reproduction_errors
 from .document import (
     CurveDocument,
     DocumentFormatError,
@@ -165,11 +165,9 @@ def _suite_riesz(freq: Frequency) -> list[dict]:
 
 
 def _suite_reproduction(freq: Frequency) -> list[dict]:
-    out = []
-    for target in ("const", "linear", "cos"):
-        err = reproduction_check(freq, target)
-        out.append(_check(f"reproduction of {target}", err, 1e-12, err < 1e-12))
-    return out
+    targets = ("const", "linear", "cos")
+    return [_check(f"reproduction of {target}", err, 1e-12, err < 1e-12)
+            for target, err in zip(targets, reproduction_errors(freq, targets))]
 
 
 def _suite_masks(freq: Frequency) -> list[dict]:
@@ -192,11 +190,20 @@ def _suite_masks(freq: Frequency) -> list[dict]:
 _GAUSS_NODES = 20
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [0, 1], built once
+    per process and read-only, since every call shares them."""
+    nodes, weights = leggauss(_GAUSS_NODES)
+    x, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
 def _suite_gram(freq: Frequency) -> list[dict]:
     g = gram_entries(freq)
     # Gauss-Legendre on [0, 1], where each generator is one smooth segment
-    nodes, weights = leggauss(_GAUSS_NODES)
-    x, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    x, weights = _gauss_rule()
     p1, p2 = phi(freq, 1, x), phi(freq, 2, x)
     q1, q2 = phi(freq, 1, x - 1.0), phi(freq, 2, x - 1.0)
     pairs = {

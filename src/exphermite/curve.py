@@ -91,20 +91,34 @@ _CHECK_LIMIT = 8.0    # errors measured on [-8, 8] to stay clear of truncation
 _CHECK_COUNT = 1601
 
 
-def reproduction_check(freq: Frequency, target: str) -> float:
-    """Sup error of the Hermite expansion of a target the basis reproduces.
+def reproduction_errors(freq: Frequency, targets) -> list[float]:
+    """Sup errors of the Hermite expansions of targets the basis reproduces,
+    one per target, in order.
 
-    Samples the target and its derivative on an integer window, evaluates
-    the expansion densely on the interior, and returns the worst absolute
-    deviation from the analytic target (0 up to roundoff for targets
-    1, x, cos(w x), sin(w x)).
+    Samples each target and its derivative on an integer window, evaluates
+    the expansions densely on the interior, and returns the worst absolute
+    deviations from the analytic targets (0 up to roundoff for targets
+    1, x, cos(w x), sin(w x)).  The targets are the columns of one
+    HermiteData, so one evaluation serves them all; each column gets the
+    same bits as on its own.
     """
-    if target not in _TARGETS:
-        raise ValueError(f"unknown target {target!r}; pick one of {sorted(_TARGETS)}")
-    f, df = _TARGETS[target]
+    for target in targets:
+        if target not in _TARGETS:
+            raise ValueError(
+                f"unknown target {target!r}; pick one of {sorted(_TARGETS)}"
+            )
+    pairs = [_TARGETS[target] for target in targets]
     w = freq.omega0
     ns = np.arange(-_WINDOW, _WINDOW + 1, dtype=float)
-    data = HermiteData(f(w, ns), df(w, ns))
+    data = HermiteData(np.column_stack([f(w, ns) for f, _ in pairs]),
+                       np.column_stack([df(w, ns) for _, df in pairs]))
     xs = np.linspace(-_CHECK_LIMIT, _CHECK_LIMIT, _CHECK_COUNT)
     value, _ = spline_eval(freq, data, xs + _WINDOW)
-    return float(np.max(np.abs(value - f(w, xs))))
+    exact = np.column_stack([f(w, xs) for f, _ in pairs])
+    return np.max(np.abs(value - exact), axis=0).tolist()
+
+
+def reproduction_check(freq: Frequency, target: str) -> float:
+    """Sup error of the Hermite expansion of one target the basis
+    reproduces; see ``reproduction_errors``."""
+    return reproduction_errors(freq, (target,))[0]

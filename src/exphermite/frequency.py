@@ -8,6 +8,11 @@ same differences divided by their leading power of t (sin(t)/t and the
 like, finite at t = 0), with small relative error for every argument.
 Written through the scaled kernels, each coefficient is a ratio with a
 finite limit, so one formula holds on all of [0, pi], w = 0 included.
+
+Every kernel takes a float or an ndarray.  An array runs numpy's sin and
+cos under a mask; a float runs libm's sin and cos and only the branch its
+argument selects, so it stays a Python float, and it gets bitwise the
+entry an array call gives it.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ class Frequency:
 
     def scaled(self, h: float) -> "Frequency":
         """Frequency h*w of the representation on the grid h*Z."""
-        if h <= 0.0:
-            raise DomainError(f"grid step h must be positive, got {h!r}")
+        if not 0.0 < h < math.inf:
+            raise DomainError(f"grid step h must be positive and finite, got {h!r}")
         w = h * self.omega0
         if w > math.pi:
             raise DomainError(
@@ -54,25 +59,67 @@ class Frequency:
         return Frequency(w)
 
 
+def _sin(u):
+    """np.sin of an array; libm's sin of a float, so a float stays a
+    Python float.  libm raises on +-inf where np.sin gives nan, and nan is
+    what a float gets too."""
+    if isinstance(u, np.ndarray):
+        return np.sin(u)
+    try:
+        return math.sin(u)
+    except ValueError:
+        return math.nan
+
+
+def _cos(u):
+    """np.cos of an array, libm's cos of a float; nan at +-inf, as ``_sin``."""
+    if isinstance(u, np.ndarray):
+        return np.cos(u)
+    try:
+        return math.cos(u)
+    except ValueError:
+        return math.nan
+
+
+def _horner(coeffs, t2):
+    """sum_k c_k t2^k for ``coeffs`` = (c_n, ..., c_0)."""
+    total = coeffs[0]
+    for coeff in coeffs[1:]:
+        total = total * t2 + coeff
+    return total
+
+
 def _stable(t, coeffs, direct, scaled=False):
     """Series below the cutoff, ``direct`` at or above it, elementwise.
 
     The series is sum_k c_k t^(2k) = direct(t) / t^3, in Horner form over
-    ``coeffs`` = (c_n, ..., c_0): two operations per term.  It is
-    multiplied by t^3, or with ``scaled`` the direct form divided by t^3
-    instead.  Below the cutoff every term after the tenth is under 4e-19 of
-    the sum, far below half an ulp.  Every lane runs both branches and the
-    mask keeps one: the series sees 0 on the direct lanes, and ``direct``
-    sees t + 1, inside (0.1, 1.9), on the series lanes, so no lane divides
-    by zero.  A float or an ndarray.
+    ``coeffs``: two operations per term.  It is multiplied by t^3, or with
+    ``scaled`` the direct form divided by t^3 instead.  Below the cutoff
+    every term after the tenth is under 4e-19 of the sum, far below half an
+    ulp.
+
+    A float runs only the branch that |t| selects.  On an ndarray every
+    lane runs both and the mask keeps one: the series sees 0 on the direct
+    lanes, and ``direct`` sees t + 1, inside (0.1, 1.9), on the series
+    lanes, so no lane divides by zero.  The branch the mask drops adds
+    +0.0 to the kept one (or nan, where the kept one is nan already), so
+    the float branch adds +0.0 too and both give the same bits, signed
+    zeros included.
     """
+    if not isinstance(t, np.ndarray):
+        if abs(t) < _SERIES_CUTOFF:
+            t2 = t * t
+            total = _horner(coeffs, t2)
+            kept = total if scaled else total * (t * t2)
+        else:
+            closed = direct(t)
+            kept = closed / (t * t * t) if scaled else closed
+        return kept + 0.0
     size = abs(t)
     near, far = size < _SERIES_CUTOFF, size >= _SERIES_CUTOFF
     small = t * near
     t2 = small * small
-    total = coeffs[0]
-    for coeff in coeffs[1:]:
-        total = total * t2 + coeff
+    total = _horner(coeffs, t2)
     u = t + near
     closed = direct(u)
     if scaled:
@@ -96,11 +143,11 @@ _SIN_MINUS_X_COS = _series(lambda k: 2 * k + 2)
 
 
 def _x_minus_sin_direct(u):
-    return u - np.sin(u)
+    return u - _sin(u)
 
 
 def _sin_minus_x_cos_direct(u):
-    return np.sin(u) - u * np.cos(u)
+    return _sin(u) - u * _cos(u)
 
 
 def x_minus_sin(t):
@@ -115,7 +162,7 @@ def x_minus_sin_scaled(t):
 
 def one_minus_cos(t):
     """1 - cos(t), evaluated as 2 sin^2(t/2) to avoid cancellation."""
-    s = np.sin(0.5 * t)
+    s = _sin(0.5 * t)
     return 2.0 * s * s
 
 
@@ -137,7 +184,7 @@ def sin_over(a, x):
     it keeps the quotient clear of 0 / 0 at a = 0.
     """
     a = max(a, _FLOOR)
-    return np.sin(a * x) / a
+    return _sin(a * x) / a
 
 
 def sinc(t: float) -> float:

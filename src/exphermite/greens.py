@@ -99,7 +99,7 @@ def bspline(freq: Frequency, order: int, x, method: str = "green"):
         which = 5 - order  # rho1 for order 4, rho2 for order 3
         val = _normalization(freq) * sum(
             tap * rho(freq, which, x - k)
-            for k, tap in enumerate(annihilation_weights(freq, order))
+            for k, tap in enumerate(annihilation_weights(freq, order).tolist())
         )
     elif method == "superfunction":
         val = sum(

@@ -16,10 +16,9 @@ from exphermite import (
     make_generators,
     phi,
     phi_deriv,
-    phi_rescaled,
-    phi_rescaled_deriv,
     spline_eval,
 )
+from rescaled import phi_rescaled, phi_rescaled_deriv
 
 OMEGA_GRID = [0.0, 0.01, 0.2, 0.5, 1.0, 2.0, 3 * math.pi / 4, 3.0, math.pi]
 
@@ -250,6 +249,14 @@ def test_rescaled_rejects_bad_steps():
         phi_rescaled(f, 2.0, 1, 0.1)  # h * w0 > pi
     with pytest.raises(DomainError):
         phi_rescaled(f, -1.0, 1, 0.1)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_scaled_rejects_non_finite_and_nonpositive_steps(h):
+    # nan once reached Frequency and was reported as a bad omega0
+    for w0 in (0.0, 1.0):
+        with pytest.raises(DomainError, match="grid step h must be positive and finite"):
+            Frequency(w0).scaled(h)
 
 
 def test_frequency_domain():

@@ -21,6 +21,7 @@ from exphermite import (
     hermite_to_bezier,
 )
 from exphermite.frequency import sin_over, x_minus_sin_scaled
+from rescaled import phi_rescaled, phi_rescaled_deriv
 
 OMEGA_GRID = [0.05, 0.5, 1.0, 2.0, 3 * math.pi / 4, math.pi]
 
@@ -181,8 +182,6 @@ def test_reconstruction_respects_span_length():
     rng = np.random.default_rng(19)
     w0, h = 2.0, 0.25
     f = Frequency(w0)
-    from exphermite import phi_rescaled, phi_rescaled_deriv
-
     f0, d0, f1, d1 = rng.normal(size=4)
     seg = hermite_to_bezier(f, h, f0, d0, f1, d1)
     for t in np.linspace(0.0, 1.0, 9):
@@ -247,6 +246,17 @@ def test_domain_errors():
         bernstein(f, 0, -0.2)
     with pytest.raises(DomainError):
         hermite_to_bezier(f, 2.0, 0.0, 0.0, 0.0, 0.0)  # h * w0 > pi
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_span_length_must_be_positive_and_finite(h):
+    # nan once gave nan tangents and inf zero tangents, with no error
+    f = Frequency(1.0)
+    seg = hermite_to_bezier(f, 1.0, 0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(DomainError, match="span length h must be positive and finite"):
+        bezier_to_hermite(seg, h)
+    with pytest.raises(DomainError, match="grid step h must be positive and finite"):
+        hermite_to_bezier(f, h, 0.0, 1.0, 1.0, 0.0)
 
 
 def per_piece_value(piece, x):

@@ -14,6 +14,7 @@ from exphermite import (
     Frequency,
     HermiteData,
     reproduction_check,
+    reproduction_errors,
     spline_eval,
     subdivide,
     unit_circle,
@@ -129,9 +130,38 @@ def test_reproduction_targets(target):
     assert reproduction_check(Frequency(3 * math.pi / 4), target) < 1e-12
 
 
+def reproduction_error_one_target(freq, f, df):
+    """The per-target loop that the batched check replaced: one 1-D
+    HermiteData and one evaluation per target."""
+    w = freq.omega0
+    ns = np.arange(-10.0, 11.0)
+    xs = np.linspace(-8.0, 8.0, 1601)
+    value, _ = spline_eval(freq, HermiteData(f(w, ns), df(w, ns)), xs + 10.0)
+    return float(np.max(np.abs(value - f(w, xs))))
+
+
+def test_batched_reproduction_matches_one_target_at_a_time():
+    targets = {
+        "const": (lambda w, x: np.ones_like(x), lambda w, x: np.zeros_like(x)),
+        "linear": (lambda w, x: x, lambda w, x: np.ones_like(x)),
+        "cos": (lambda w, x: np.cos(w * x), lambda w, x: -w * np.sin(w * x)),
+        "sin": (lambda w, x: np.sin(w * x), lambda w, x: w * np.cos(w * x)),
+    }
+    for w0 in (0.0, 1e-5, 1.0, math.pi):
+        freq = Frequency(w0)
+        errors = reproduction_errors(freq, list(targets))
+        assert all(type(err) is float for err in errors)
+        # the maxima are exact, so the columns give the same bits as alone
+        assert errors == [reproduction_error_one_target(freq, *pair)
+                          for pair in targets.values()]
+        assert errors[1:3] == reproduction_errors(freq, ("linear", "cos"))
+
+
 def test_reproduction_rejects_unknown_target():
     with pytest.raises(ValueError):
         reproduction_check(Frequency(1.0), "tan")
+    with pytest.raises(ValueError):
+        reproduction_errors(Frequency(1.0), ("const", "tan"))
 
 
 def test_minimum_period():

@@ -16,8 +16,6 @@ from exphermite import (
     hermite_to_bezier,
     hermite_to_scalar,
     masks,
-    phi_rescaled,
-    phi_rescaled_deriv,
     refine_step,
     scalar_refine_step,
     scalar_to_hermite,
@@ -26,6 +24,7 @@ from exphermite import (
     unit_circle,
 )
 from exphermite.subdivision import check_node_budget
+from rescaled import phi_rescaled, phi_rescaled_deriv
 
 EPS = float(np.finfo(float).eps)
 MERRIEN_MINUS = np.array([[0.5, -0.125], [1.5, -0.25]])
