@@ -31,14 +31,14 @@ def main() -> None:
         prev = err
 
     print("\ndistance of the rescaled masks from the stationary limit:")
-    merrien = np.array([[0.5, -0.125], [1.5, -0.25]])
     freq = Frequency(3 * math.pi / 4)
     print(f"{'level':>6} {'distance':>14}")
     for j in range(0, 13, 2):
-        tri = masks(freq, j)
+        top, bot, diag = masks(freq, j)
         h = 2.0 ** (-j)
-        rescaled = tri.hm1 * np.array([[1.0, 1.0 / h], [h, 1.0]])
-        print(f"{j:6d} {np.abs(rescaled - merrien).max():14.6e}")
+        # top/h, bot h and diag tend to the stationary 1/8, 3/2 and -1/4
+        dist = max(abs(top / h - 0.125), abs(bot * h - 1.5), abs(diag + 0.25))
+        print(f"{j:6d} {dist:14.6e}")
 
 
 if __name__ == "__main__":

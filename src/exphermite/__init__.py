@@ -16,7 +16,6 @@ from .basis import (
     spline_eval,
 )
 from .bezier import (
-    BernsteinBasis,
     BezierSegment,
     bernstein,
     bernstein_basis,
@@ -57,7 +56,6 @@ from .greens import (
 )
 from .subdivision import (
     MAX_NODES,
-    MaskTriple,
     ScalarControl,
     hermite_to_scalar,
     masks,
@@ -86,7 +84,6 @@ def diagnostics() -> dict[str, dict[str, int]]:
 
 
 __all__ = [
-    "BernsteinBasis",
     "BezierSegment",
     "ClosedHermiteCurve",
     "CurveDocument",
@@ -98,7 +95,6 @@ __all__ = [
     "GramEntries",
     "HermiteData",
     "MAX_NODES",
-    "MaskTriple",
     "ScalarControl",
     "annihilation_weights",
     "bernstein",

@@ -41,26 +41,15 @@ def endpoint_slope(freq: Frequency) -> float:
     return -half * half / (2.0 * x_minus_sin_scaled(w))
 
 
-@dataclass(frozen=True)
-class BernsteinBasis:
-    """The four Bernstein pieces b0..b3 on [0, 1] for one frequency."""
-
-    pieces: tuple[E4Piece, E4Piece, E4Piece, E4Piece]
-    freq: Frequency
-    lam: float
-    kappa: float
-
-
 @lru_cache(maxsize=1024)
-def bernstein_basis(freq: Frequency) -> BernsteinBasis:
-    """Construct b0..b3.
+def bernstein_basis(freq: Frequency) -> tuple[E4Piece, E4Piece, E4Piece, E4Piece]:
+    """The four Bernstein pieces b0..b3 on [0, 1] for one frequency.
 
     Each piece is pinned down by its Hermite endpoint data, so it is a
     combination of the two generators and their reflections:
     b0 = g1 + kappa g2, b1 = -kappa g2, and b2, b3 mirror b1, b0.
     Partition of unity is then inherited from g1(x) + g1(1-x) = 1.
     """
-    lam = conversion_ratio(freq)
     kappa = endpoint_slope(freq)
     pair = make_generators(freq)
     g1, g2 = pair.g1, pair.g2
@@ -69,7 +58,7 @@ def bernstein_basis(freq: Frequency) -> BernsteinBasis:
     # mirrored ends are exact zeros: value and slope of b0, b1 vanish at 1
     b2 = b1.reflected(0.0, 0.0)
     b3 = b0.reflected(0.0, 0.0)
-    return BernsteinBasis((b0, b1, b2, b3), freq, lam, kappa)
+    return b0, b1, b2, b3
 
 
 def bernstein(freq: Frequency, ell: int, x):
@@ -79,7 +68,7 @@ def bernstein(freq: Frequency, ell: int, x):
         raise ValueError(f"ell must be in 0..3, got {ell!r}")
     if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DomainError(f"bernstein argument must lie in [0, 1], got {x!r}")
-    return bernstein_basis(freq).pieces[ell].value(x)
+    return bernstein_basis(freq)[ell].value(x)
 
 
 @dataclass(frozen=True)
@@ -99,7 +88,7 @@ class BezierSegment:
         points of shape s give results of shape t.shape + s."""
         kernels = piece_kernels(self.freq, t)
         b0, b1, b2, b3 = (piece.at(t, kernels)
-                          for piece in bernstein_basis(self.freq).pieces)
+                          for piece in bernstein_basis(self.freq))
         return (
             np.multiply.outer(b0, self.p0) + np.multiply.outer(b1, self.p1)
             + np.multiply.outer(b2, self.p2) + np.multiply.outer(b3, self.p3)

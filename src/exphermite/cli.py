@@ -33,6 +33,7 @@ from .document import (
 from .frequency import DomainError, Frequency
 from .gram import det_scan_min, gram_entries, lower_bound_G, riesz_bounds
 from .subdivision import (
+    _insert,
     check_node_budget,
     hermite_to_scalar,
     masks,
@@ -171,19 +172,27 @@ def _suite_reproduction(freq: Frequency) -> list[dict]:
 
 
 def _suite_masks(freq: Frequency) -> list[dict]:
-    triple = masks(freq, 16)
-    h = 2.0 ** (-16)
-    rescale = np.array([[1.0, 1.0 / h], [h, 1.0]])
-    merrien = np.array([[0.5, -0.125], [1.5, -0.25]])
-    dist = float(np.abs(triple.hm1 * rescale - merrien).max())
-    identity = float(np.abs(triple.h0 - np.eye(2)).max())
-    sign = float(
-        np.abs(triple.hp1 - triple.hm1 * np.array([[1, -1], [-1, 1]])).max()
-    )
+    levels = (0, 16)
+    rules = [masks(freq, j) for j in levels]
+    # the rescaled level-16 rule against its stationary (Merrien) limit
+    # top/h = 1/8, bot h = 3/2, diag = -1/4
+    top, bot, diag = rules[-1]
+    dist = max(abs(top / 2.0**-16 - 0.125), abs(bot * 2.0**-16 - 1.5), abs(diag + 0.25))
+    # one insertion per level on cos(w x), sin(w x) at the nodes x = 0, h =
+    # 2^-j, against the exact midpoint; derivative errors scaled by h, the
+    # error model of refine_step.  One broadcast call of the kernel runs
+    # [function, level] = [cos and sin, levels].
+    w, h = freq.omega0, np.ldexp(1.0, [-j for j in levels])
+    wx = w * np.multiply.outer(h, [0.0, 1.0, 0.5])
+    c, s = np.cos(wx), np.sin(wx)
+    v, d = np.array([c, s]), w * np.array([-s, c])
+    out_v, out_d = np.empty((2,) + v.shape[:2])
+    _insert(np.array(rules).T, v[..., 0], d[..., 0], v[..., 1], d[..., 1], out_v, out_d)
+    errs = np.maximum(abs(out_v - v[..., 2]), h * abs(out_d - d[..., 2])).max(axis=0)
     return [
         _check("stationary-limit distance at level 16", dist, 1e-3, dist < 1e-3),
-        _check("center mask is identity", identity, 0.0, identity == 0.0),
-        _check("off-diagonal sign pattern", sign, 0.0, sign == 0.0),
+        *(_check(f"insertion keeps cos, sin at level {j}", err, 1e-13, err < 1e-13)
+          for j, err in zip(levels, errs.tolist())),
     ]
 
 

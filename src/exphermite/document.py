@@ -67,13 +67,19 @@ class CurveDocument:
     omega0_mode: str = "auto"
 
     def __post_init__(self) -> None:
+        # the reader's rules, so that every document built here reads back;
+        # a bool is an int but never a document value
+        if type(self.version) is not int or type(self.period) is not int:
+            raise DocumentFormatError("document version and M must be ints")
+        if self.version != DOCUMENT_VERSION:
+            raise DocumentFormatError(f"unsupported document version {self.version!r}")
         pts = np.asarray(self.points, dtype=float)
         tan = np.asarray(self.tangents, dtype=float)
         if self.omega0_mode != "auto":
             raise DomainError(f"unsupported omega0_mode {self.omega0_mode!r}")
-        if len(pts) != self.period or len(tan) != self.period:
+        if self.period < 3 or pts.shape != (self.period, 2) or tan.shape != pts.shape:
             raise DomainError(
-                f"points/tangents lists must have length M = {self.period}"
+                f"points/tangents must be M = {self.period} >= 3 rows of [x, y]"
             )
         if not (np.isfinite(pts).all() and np.isfinite(tan).all()):
             raise DomainError("document entries must be finite numbers")

@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .basis import _check_which, _k1, _k2, phi
+from .basis import _check_which, _k1, _k2, make_generators, phi
+from .bezier import conversion_ratio
 from .frequency import (
     Frequency,
     sin_minus_x_cos_scaled,
@@ -71,15 +72,14 @@ def _normalization(freq: Frequency) -> float:
 def _superfunction_terms(freq: Frequency, order: int) -> list[tuple[int, float, float]]:
     """(shift, phi1 weight, phi2 weight) triples expressing B_order as a
     short combination of generator shifts."""
-    w = freq.omega0
     if order == 4:
-        # (w - sin w) / (4 w sin^2(w/2)) = S2(w) / sinc^2(w/2); 1/6 at w = 0
-        half = sinc(0.5 * w)
-        g1 = x_minus_sin_scaled(w) / (half * half)
+        # (w - sin w) / (4 w sin^2(w/2)), half the handle ratio; 1/6 at w = 0
+        g1 = 0.5 * conversion_ratio(freq)
         return [(1, g1, 0.5), (2, 1.0 - 2.0 * g1, 0.0), (3, g1, -0.5)]
     if order == 3:
         # (w/2) / tan(w/2) = cos(w/2) / sinc(w/2); 1 at w = 0
-        mu = math.cos(0.5 * w) / sinc(0.5 * w)
+        u = 0.5 * freq.omega0
+        mu = math.cos(u) / sinc(u)
         return [(1, 0.5, mu), (2, 0.5, -mu)]
     raise ValueError(f"order must be 3 or 4, got {order!r}")
 
@@ -127,16 +127,15 @@ def rho_from_phi(freq: Frequency, which: int, x):
 
 def _localization_coefficients(freq: Frequency) -> tuple[float, float, float]:
     """(c, c3, c4) = (w^2 sin(u) / s, w^3 cos(u) / s, w (w - sin w) / (2 s sin u))
-    with u = w/2 and s = 2 sin(u) - w cos(u) = w^3 S3(u) / 4, taken as
-    (2 sinc(u) / S3(u), 4 cos(u) / S3(u), 4 S2(w) / (sinc(u) S3(u))) with
-    S3(u) = (sin u - u cos u) / u^3 and S2(w) = (w - sin w) / w^3; (6, 12, 2)
-    at w = 0."""
+    with u = w/2 and s = 2 sin(u) - w cos(u) = w^3 S3(u) / 4.  c and c3 are
+    the scaled coefficients C and -D of the generator g1, and c4 is taken
+    as 4 S2(w) / (sinc(u) S3(u)) with S3(u) = (sin u - u cos u) / u^3 and
+    S2(w) = (w - sin w) / w^3; (6, 12, 2) at w = 0."""
+    g1 = make_generators(freq).g1
     w = freq.omega0
     u = 0.5 * w
-    half_sinc = sinc(u)
-    half_s3 = sin_minus_x_cos_scaled(u)
-    return (2.0 * half_sinc / half_s3, 4.0 * math.cos(u) / half_s3,
-            4.0 * x_minus_sin_scaled(w) / (half_sinc * half_s3))
+    return (g1.C, -g1.D,
+            4.0 * x_minus_sin_scaled(w) / (sinc(u) * sin_minus_x_cos_scaled(u)))
 
 
 def phi_from_rho(freq: Frequency, which: int, x):

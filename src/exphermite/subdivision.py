@@ -4,7 +4,7 @@ four-point scheme.
 The vector scheme is interpolatory: each step keeps the coarse samples and
 inserts the value/derivative of the local Hermite interpolant at span
 midpoints.  Because the interpolant lives on a grid of spacing 2^-j, the
-insertion matrices depend on the level through the halved frequency
+insertion rule (``masks``) depends on the level through the halved frequency
 w / 2^j, which is what lets the scheme reproduce ellipses at every level.
 The scalar scheme runs the same insertion rule on Bezier control points, in
 each node's mean / half-difference coordinates.
@@ -28,31 +28,32 @@ from .frequency import (
 )
 
 
-@dataclass(frozen=True)
-class MaskTriple:
-    """The three 2x2 matrices of the level-j insertion rule.
-
-    h0 is the identity (coarse samples are kept); hp1 equals hm1 with both
-    off-diagonal entries negated.  Rows/columns follow the convention in
-    which the odd-sample update reads
-        a[2n+1] = hp1 @ a[n] + hm1 @ a[n+1].
-    """
-
-    level: int
-    hm1: np.ndarray
-    h0: np.ndarray
-    hp1: np.ndarray
-    level_freq: Frequency
+MAX_LEVEL = 1022
+"""Deepest level with an insertion rule: from level 1023 on the grid step
+2^-j is no longer a normal double (and ``bot`` ~ 1.5 / 2^-j overflows)."""
 
 
-def masks(freq: Frequency, j: int) -> MaskTriple:
-    """Insertion masks for the refinement from grid 2^-j to grid 2^-(j+1),
-    built from the generators at the level frequency w/2^j."""
-    if j < 0:
-        raise ValueError(f"level must be nonnegative, got {j!r}")
+def _check_level(j: int) -> None:
+    """ValueError unless j is a nonnegative int (a bool is not a level),
+    DomainError above MAX_LEVEL."""
+    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+        raise ValueError(f"level must be a nonnegative int, got {j!r}")
+    if j > MAX_LEVEL:
+        raise DomainError(f"level {j} is above the deepest level {MAX_LEVEL}")
+
+
+def masks(freq: Frequency, j: int) -> tuple[float, float, float]:
+    """The insertion rule (top, bot, diag) for the refinement from grid
+    2^-j to grid 2^-(j+1), built from the generators at the level frequency
+    w/2^j.  Between nodes (v0, d0) and (v1, d1) the midpoint gets
+
+        value = (v0 + v1)/2 + top (d0 - d1)
+        deriv = bot (v1 - v0) + diag (d0 + d1),
+
+    the local Hermite interpolant and its derivative at the midpoint."""
+    _check_level(j)
     h = 2.0 ** (-j)
-    level_freq = Frequency(freq.omega0 * h)
-    w = level_freq.omega0
+    w = freq.omega0 * h
     # with u = w/2 and s = w^3 S3(u) / 4: top = h tan(w/4) / (2w), bot =
     # 2w sin^2(w/4) / (s h) and diag = -(u - sin u) / s, as ratios of the
     # scaled kernels; at w = 0 the stationary h/8, 3/(2h) and -1/4
@@ -61,9 +62,7 @@ def masks(freq: Frequency, j: int) -> MaskTriple:
     top = quarter_sinc / (8.0 * math.cos(0.25 * w)) * h
     bot = quarter_sinc * quarter_sinc / (2.0 * half_s3) / h
     diag = -x_minus_sin_scaled(0.5 * w) / (2.0 * half_s3)
-    hm1 = np.array([[0.5, -top], [bot, diag]])
-    hp1 = np.array([[0.5, top], [-bot, diag]])
-    return MaskTriple(j, hm1, np.eye(2), hp1, level_freq)
+    return top, bot, diag
 
 
 MAX_NODES = 2**24
@@ -98,18 +97,18 @@ def _columns(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(len(arr), -1).T
 
 
-def _insert(triple, v0, d0, v1, d1, out_v, out_d) -> None:
-    """Midpoint slots between 1-D columns (v0, d0) and (v1, d1), written
-    into out_v / out_d, for the rule (top, bot, diag) = ``triple``.
+def _insert(rule, v0, d0, v1, d1, out_v, out_d) -> None:
+    """Midpoint slots between columns (v0, d0) and (v1, d1), written into
+    out_v / out_d, for the rule (top, bot, diag) of ``masks``; the entries
+    may also be arrays that broadcast against the columns.
 
-    With hp1 = [[1/2, top], [-bot, diag]] and hm1 = [[1/2, -top], [bot,
-    diag]] the value row is (v0/2 + top d0) + (v1/2 - top d1), summed in
-    that pairwise order, and the derivative row is taken in difference form,
-    bot (v1 - v0) + diag (d0 + d1), which loses fewer digits to the large
-    ``bot`` at deep levels than summing -bot v0 + bot v1.  out_d holds
-    top d1 while the value row is formed.
+    The value (v0 + v1)/2 + top (d0 - d1) is summed as (v0/2 + top d0) +
+    (v1/2 - top d1), in that pairwise order.  The derivative is taken in
+    difference form, bot (v1 - v0) + diag (d0 + d1), which loses fewer
+    digits to the large ``bot`` at deep levels than summing -bot v0 +
+    bot v1.  out_d holds top d1 while the value is formed.
     """
-    top, bot, diag = triple
+    top, bot, diag = rule
     scratch = np.multiply(d0, top)
     np.multiply(v0, 0.5, out=out_v)
     out_v += scratch
@@ -124,13 +123,13 @@ def _insert(triple, v0, d0, v1, d1, out_v, out_d) -> None:
     out_d += scratch
 
 
-def _insert_spans(triple, v, d, out_v, out_d, periodic: bool) -> None:
+def _insert_spans(rule, v, d, out_v, out_d, periodic: bool) -> None:
     """Midpoint slots of the n - 1 spans of the 1-D columns (v, d), then of
     the span from the last node back to the first when ``periodic``."""
     n = len(v)
-    _insert(triple, v[:-1], d[:-1], v[1:], d[1:], out_v[:n - 1], out_d[:n - 1])
+    _insert(rule, v[:-1], d[:-1], v[1:], d[1:], out_v[:n - 1], out_d[:n - 1])
     if periodic:
-        _insert(triple, v[-1:], d[-1:], v[:1], d[:1], out_v[n - 1:], out_d[n - 1:])
+        _insert(rule, v[-1:], d[-1:], v[:1], d[:1], out_v[n - 1:], out_d[n - 1:])
 
 
 def _check_refinable(n: int, periodic: bool) -> None:
@@ -143,10 +142,10 @@ def _check_finite(data: HermiteData) -> None:
         raise DomainError("Hermite samples must be finite")
 
 
-def refine_step(data: HermiteData, mask: MaskTriple) -> HermiteData:
-    """One dyadic step: even output slots copy the input bitwise; each odd
-    slot is the local Hermite interpolant of the bracketing nodes evaluated
-    at the span midpoint (value and derivative).
+def refine_step(data: HermiteData, rule: tuple[float, float, float]) -> HermiteData:
+    """One dyadic step with ``rule`` = masks(freq, j): even output slots
+    copy the input bitwise; each odd slot is the local Hermite interpolant
+    of the bracketing nodes at the span midpoint (value and derivative).
 
     Error model: values carry a few eps of the data scale at any depth.
     A level-j derivative is recovered from a value difference scaled by
@@ -156,14 +155,13 @@ def refine_step(data: HermiteData, mask: MaskTriple) -> HermiteData:
     """
     n = len(data)
     _check_refinable(n, data.periodic)
-    triple = (mask.hp1[0, 1], mask.hm1[1, 0], mask.hm1[1, 1])
     shape = (refined_length(n, data.periodic),) + data.values.shape[1:]
     out_v, out_d = np.empty(shape), np.empty(shape)
     for v, d, ov, od in zip(_columns(data.values), _columns(data.derivs),
                             _columns(out_v), _columns(out_d)):
         ov[0::2] = v
         od[0::2] = d
-        _insert_spans(triple, v, d, ov[1::2], od[1::2], data.periodic)
+        _insert_spans(rule, v, d, ov[1::2], od[1::2], data.periodic)
     return HermiteData(out_v, out_d, periodic=data.periodic)
 
 
@@ -218,6 +216,7 @@ class ScalarControl:
 def _handle_offset(freq: Frequency, j: int) -> float:
     """lam_j 2^-j: distance in parameter units from a level-j node to its
     control points, per unit derivative."""
+    _check_level(j)
     h = 2.0 ** (-j)
     return conversion_ratio(Frequency(freq.omega0 * h)) * h
 
@@ -266,10 +265,9 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     n = pts.node_count()
     _check_refinable(n, pts.periodic)
     j = pts.level
-    mask = masks(freq, j)
+    top, bot, diag = masks(freq, j)
     offset, next_offset = _handle_offset(freq, j), _handle_offset(freq, j + 1)
-    triple = (mask.hp1[0, 1] / next_offset, mask.hm1[1, 0] * next_offset,
-              mask.hm1[1, 1])
+    rule = (top / next_offset, bot * next_offset, diag)
     half_ratio = 0.5 * next_offset / offset
     # node k owns points 2k (incoming) and 2k+1 (outgoing); in the output,
     # old node k becomes node 2k (points 4k, 4k+1) and the midpoint after
@@ -281,7 +279,7 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
         mean, half = 0.5 * (a + b), half_ratio * (b - a)
         np.subtract(mean, half, out=o[0::4])
         np.add(mean, half, out=o[1::4])
-        _insert_spans(triple, mean, half, mid_m, mid_half, pts.periodic)
+        _insert_spans(rule, mean, half, mid_m, mid_half, pts.periodic)
         np.subtract(mid_m, mid_half, out=o[2::4])
         np.add(mid_m, mid_half, out=o[3::4])
     return ScalarControl(out, j + 1, pts.periodic)

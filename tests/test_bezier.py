@@ -124,7 +124,7 @@ def test_endpoint_derivative_identity(w0):
     assert kappa == pytest.approx(expected, rel=1e-12)
     # the piece continues analytically below 0, so a centered Richardson
     # stencil resolves the endpoint slope to the 1e-10 scale
-    piece = bernstein_basis(f).pieces[0]
+    piece = bernstein_basis(f)[0]
     central = lambda h: (piece.value(h) - piece.value(-h)) / (2 * h)
     fd = (4.0 * central(5e-4) - central(1e-3)) / 3.0
     assert fd == pytest.approx(kappa, abs=1e-10)
@@ -230,9 +230,8 @@ def test_pieces_belong_to_the_exponential_family():
     # the analytic continuation of every Bernstein piece
     w0 = 2.4
     f = Frequency(w0)
-    basis = bernstein_basis(f)
     weights = annihilation_weights(f, 4)
-    for piece in basis.pieces:
+    for piece in bernstein_basis(f):
         for x in (0.3, 1.7, -2.2):
             val = sum(wk * piece.value(x - k) for k, wk in enumerate(weights))
             assert abs(val) < 1e-12
@@ -274,7 +273,7 @@ def per_piece_value(piece, x):
 def test_segment_value_matches_per_piece_sum_bitwise(w0):
     # sum_l b_l(t) (x) p_l, one kernel pair per piece
     freq = Frequency(w0)
-    pieces = bernstein_basis(freq).pieces
+    pieces = bernstein_basis(freq)
     rng = np.random.default_rng(7)
     controls = [rng.normal(size=4).tolist(), list(rng.normal(size=(4, 2))),
                 list(rng.normal(size=(4, 3)))]

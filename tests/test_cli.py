@@ -21,6 +21,7 @@ from exphermite import (
     DomainError,
     dumps_document,
     loads_document,
+    masks,
     unit_circle,
 )
 import exphermite.cli as cli
@@ -531,7 +532,7 @@ def test_render_unwritable_exit_five(tmp_path):
 
 
 def test_verify_suites_pass(capsys):
-    for omega0 in ("2.356", "0", "1e-300", "pi"):
+    for omega0 in ("2.356", "0", "1e-300", "pi", "1e-7", "0.99e-4", "1.01e-4"):
         for suite in ("riesz", "reproduction", "masks", "gram"):
             assert main(["verify", "--suite", suite, "--omega0", omega0]) == 0
             out = capsys.readouterr().out
@@ -545,6 +546,56 @@ def test_verify_reports_values(capsys):
     out = capsys.readouterr().out
     assert "alpha" in out
     assert "value=" in out and "threshold=" in out
+
+
+def _verify_lines(capsys, suite, omega0="3pi/4"):
+    """(exit code, {check name: its PASS or FAIL line})."""
+    code = main(["verify", "--suite", suite, "--omega0", omega0])
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    return code, {line.split("  value=")[0].rstrip(): line for line in lines}
+
+
+def test_only_the_reproduction_suite_names_lines_reproduction(capsys):
+    # the benchmark reads every "reproduction of" line as a value error
+    _, lines = _verify_lines(capsys, "all")
+    assert len(lines) == 15
+    assert [name for name in lines if name.startswith("reproduction of")] == [
+        "reproduction of const", "reproduction of linear", "reproduction of cos"]
+    _, lines = _verify_lines(capsys, "reproduction")
+    assert list(lines) == ["reproduction of const", "reproduction of linear",
+                           "reproduction of cos"]
+
+
+def _perturbed(entry, change, levels):
+    """masks with entry ``entry`` of the rule of each level in ``levels``
+    replaced by change(entry)."""
+    def fake(freq, j):
+        rule = list(masks(freq, j))
+        if j in levels:
+            rule[entry] = change(rule[entry])
+        return tuple(rule)
+    return fake
+
+
+BREAKS = {
+    # one entry of the level-0 rule off by a relative 1e-9
+    "top * (1 + 1e-9)": (0, lambda x: x * (1 + 1e-9), (0,)),
+    "bot * (1 + 1e-9)": (1, lambda x: x * (1 + 1e-9), (0,)),
+    "diag * (1 + 1e-9)": (2, lambda x: x * (1 + 1e-9), (0,)),
+    "diag negated at 0": (2, lambda x: -x, (0,)),
+    "diag negated at 16": (2, lambda x: -x, (16,)),
+}
+
+
+@pytest.mark.parametrize("name", BREAKS)
+def test_insertion_checks_fail_on_a_broken_rule(monkeypatch, capsys, name):
+    entry, change, levels = BREAKS[name]
+    monkeypatch.setattr(cli, "masks", _perturbed(entry, change, levels))
+    code, lines = _verify_lines(capsys, "masks")
+    assert code == 1
+    for j in (0, 16):
+        line = lines[f"insertion keeps cos, sin at level {j}"]
+        assert line.endswith("FAIL" if j in levels else "PASS"), line
 
 
 def test_document_round_trip_is_lossless(tmp_path):
@@ -574,6 +625,48 @@ def test_document_serialization_survives_arbitrary_doubles(rows):
     # 17 significant digits keep every double value exact (zero sign aside)
     assert np.array_equal(np.asarray(again.points), np.asarray(doc.points))
     assert np.array_equal(np.asarray(again.tangents), np.asarray(doc.tangents))
+    assert dumps_document(again) == text
+
+
+@pytest.mark.parametrize("version, period", [
+    (2, 8), (0, 8), (-1, 8), (True, 8), (1.0, 8), ("1", 8),
+    (1, 8.0), (1, True), (1, None),
+])
+def test_document_constructor_refuses_what_the_reader_refuses(version, period):
+    curve = unit_circle(8)
+    with pytest.raises(DocumentFormatError):
+        CurveDocument(version, period, curve.points, curve.tangents)
+
+
+@st.composite
+def constructor_args(draw):
+    """Arguments of CurveDocument around the edges of what it accepts."""
+    version = draw(st.sampled_from([1, 1, 1, 0, 2, True, 1.0]))
+    period = draw(st.sampled_from([3, 4, 6, 3, 4, 6, 0, 1, 2, -3, True, 4.0]))
+    n = draw(st.sampled_from([max(int(period), 0)] * 3 + [0, 2, 3, 5]))
+    shape = draw(st.sampled_from([(n, 2)] * 3 + [(n, 1), (n, 3), (n,), (n, 2, 1)]))
+    numbers = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    points, tangents = (np.reshape(draw(st.lists(numbers, min_size=math.prod(shape),
+                                                 max_size=math.prod(shape))), shape)
+                        for _ in range(2))
+    mode = draw(st.sampled_from(["auto"] * 3 + ["fixed"]))
+    return version, period, points, tangents, mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructor_args())
+def test_every_constructed_document_round_trips(args):
+    try:
+        doc = CurveDocument(*args)
+    except (DocumentFormatError, DomainError):
+        return
+    text = dumps_document(doc)
+    again = loads_document(text)
+    assert (again.version, again.period, again.omega0_mode) == (
+        doc.version, doc.period, doc.omega0_mode)
+    # -0.0 is written as 0, so compare values rather than bits
+    assert np.array_equal(again.points, doc.points)
+    assert np.array_equal(again.tangents, doc.tangents)
     assert dumps_document(again) == text
 
 

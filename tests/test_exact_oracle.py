@@ -75,8 +75,7 @@ def errors(w: float) -> dict[str, float]:
                                     exact.localization_coefficients(w)))
     pairs = []
     for j in LEVELS:
-        m = masks(f, j).hm1
-        pairs += zip((-m[0, 1], m[1, 0], m[1, 1]), exact.mask_entries(w, j))
+        pairs += zip(masks(f, j), exact.mask_entries(w, j))
     out["masks"] = max(float(abs(got - ref) / abs(ref)) for got, ref in pairs)
     for method in ("green", "superfunction"):
         out[f"bspline_{method}"] = max(

@@ -118,7 +118,7 @@ def test_coefficients_are_python_floats():
         f = Frequency(w0)
         pair = make_generators(f)
         pieces = (pair.g1, pair.g2, pair.dg1, pair.dg2,
-                  *bernstein_basis(f).pieces)
+                  *bernstein_basis(f))
         for piece in pieces:
             for coeff in (piece.value0, piece.slope0, piece.C, piece.D):
                 assert type(coeff) is float, (w0, piece)

@@ -18,7 +18,8 @@ from exphermite import (
     rho,
     rho_from_phi,
 )
-from exphermite.greens import _superfunction_terms
+from exphermite.frequency import sin_minus_x_cos_scaled, sinc, x_minus_sin_scaled
+from exphermite.greens import _localization_coefficients, _superfunction_terms
 
 
 def filtered(weights, f, x: float) -> float:
@@ -195,6 +196,31 @@ def test_superfunction_coefficient_sums():
     terms3 = _superfunction_terms(f, 3)
     assert sum(t[1] for t in terms3) == 1.0
     assert sum(t[2] for t in terms3) == 0.0
+
+
+def closed_form_coefficients(freq: Frequency):
+    """The closed forms that the localization coefficients (c, c3) and the
+    order-4 superfunction end weight were once computed from, kept as the
+    oracle that reading them from g1 and the handle ratio changes no bit:
+    c = 2 sinc(u) / S3(u), c3 = 4 cos(u) / S3(u) with u = w/2, and the
+    weight S2(w) / sinc^2(u)."""
+    w = freq.omega0
+    u = 0.5 * w
+    half_sinc, half_s3 = sinc(u), sin_minus_x_cos_scaled(u)
+    return (2.0 * half_sinc / half_s3, 4.0 * math.cos(u) / half_s3,
+            x_minus_sin_scaled(w) / (half_sinc * half_sinc))
+
+
+def test_shared_coefficients_equal_their_closed_forms_bitwise():
+    grid = [0.0, 5e-324, 1e-300, 1e-7, 0.99e-4, 1.01e-4, math.pi,
+            *np.linspace(0.0, math.pi, 4001).tolist()]
+    got, want = [], []
+    for w in grid:
+        f = Frequency(w)
+        c, c3, _ = _localization_coefficients(f)
+        got.append((c, c3, _superfunction_terms(f, 4)[0][1]))
+        want.append(closed_form_coefficients(f))
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("w0", [0.8, 1.0, 3 * math.pi / 4, 2.9])

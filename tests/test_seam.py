@@ -62,7 +62,7 @@ SEAMS = {
     "phi1'": (lambda f: phi_deriv(f, 1, X), 2 * 1.8e-15),
     "phi2'": (lambda f: phi_deriv(f, 2, X), 2 * 1.8e-15),
     # entries up to 1.5 * 2^3 at level 3; measured 0
-    "masks": (lambda f: [masks(f, j).hm1 for j in range(4)], 2 * 12 * EPS),
+    "masks": (lambda f: [masks(f, j) for j in range(4)], 2 * 12 * EPS),
     "conversion_ratio": (conversion_ratio, 2 * EPS),    # measured 0
     "endpoint_slope": (endpoint_slope, 2 * 3 * EPS),    # measured 0
     # one Chebyshev series on all of [0, pi]; both sides map to the same

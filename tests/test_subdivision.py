@@ -23,8 +23,9 @@ from exphermite import (
     subdivide,
     unit_circle,
 )
-from exphermite.subdivision import check_node_budget
+from exphermite.subdivision import MAX_LEVEL, _handle_offset, check_node_budget
 from rescaled import phi_rescaled, phi_rescaled_deriv
+from rule2x2 import hm1, hp1
 
 EPS = float(np.finfo(float).eps)
 MERRIEN_MINUS = np.array([[0.5, -0.125], [1.5, -0.25]])
@@ -58,28 +59,15 @@ def rescaled_similarity(mat: np.ndarray, j: int) -> np.ndarray:
     return mat * np.array([[1.0, 1.0 / h], [h, 1.0]])
 
 
-def test_mask_center_is_identity():
-    for w0 in (0.3, 1.0, 3 * math.pi / 4, math.pi):
-        for j in (0, 3, 9):
-            assert np.array_equal(masks(Frequency(w0), j).h0, np.eye(2))
-
-
 def test_mask_closed_form_against_oracle():
-    tri = masks(Frequency(math.pi / 2), 0)
-    assert np.abs(tri.hm1 - mask_oracle_mp(math.pi / 2, 0)).max() < 1e-14
-    assert np.abs(tri.hm1 - H0_MINUS_HALF_PI).max() < 1e-14
-
-
-def test_mask_sign_pattern():
-    for w0 in (0.4, 2.0, math.pi):
-        tri = masks(Frequency(w0), 2)
-        flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(tri.hp1, tri.hm1 * flip)
+    mat = hm1(masks(Frequency(math.pi / 2), 0))
+    assert np.abs(mat - mask_oracle_mp(math.pi / 2, 0)).max() < 1e-14
+    assert np.abs(mat - H0_MINUS_HALF_PI).max() < 1e-14
 
 
 def test_mask_merrien_limit_at_deep_level():
-    tri = masks(Frequency(3 * math.pi / 4), 16)
-    dist = np.abs(rescaled_similarity(tri.hm1, 16) - MERRIEN_MINUS).max()
+    mat = hm1(masks(Frequency(3 * math.pi / 4), 16))
+    dist = np.abs(rescaled_similarity(mat, 16) - MERRIEN_MINUS).max()
     assert dist < 1e-3
 
 
@@ -87,9 +75,45 @@ def test_mask_merrien_limit_monotone():
     w0 = 3 * math.pi / 4
     dists = []
     for j in range(4, 13):
-        tri = masks(Frequency(w0), j)
-        dists.append(np.abs(rescaled_similarity(tri.hm1, j) - MERRIEN_MINUS).max())
+        mat = hm1(masks(Frequency(w0), j))
+        dists.append(np.abs(rescaled_similarity(mat, j) - MERRIEN_MINUS).max())
     assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+def test_rule_is_three_python_floats():
+    for w0 in (0.0, 1e-300, 1.3, math.pi):
+        rule = masks(Frequency(w0), 3)
+        assert type(rule) is tuple and [type(x) for x in rule] == [float] * 3
+
+
+def test_deepest_level_rule_is_finite():
+    # 2^-1022 is the smallest normal double; bot ~ 1.5 * 2^1022 still fits
+    for w0 in (0.0, 1.0, math.pi):
+        rule = masks(Frequency(w0), MAX_LEVEL)
+        assert MAX_LEVEL == 1022 and all(math.isfinite(x) for x in rule)
+        assert rule[1] * 2.0**-MAX_LEVEL == pytest.approx(1.5)
+    assert math.isfinite(_handle_offset(Frequency(1.0), MAX_LEVEL))
+
+
+@pytest.mark.parametrize("level, error", [
+    (MAX_LEVEL + 1, DomainError),  # 2^-j is subnormal from here on
+    (1074, DomainError),  # bot was inf
+    (1075, DomainError),  # 2^-j was 0, and masks divided by it
+    (1.5, ValueError),
+    (1.0, ValueError),
+    (True, ValueError),
+    (-1, ValueError),
+    ("3", ValueError),
+])
+def test_levels_are_validated(level, error):
+    f = Frequency(1.0)
+    data = HermiteData(np.arange(3.0), np.ones(3))
+    with pytest.raises(error, match="level"):
+        masks(f, level)
+    with pytest.raises(error, match="level"):
+        hermite_to_scalar(f, level, data)
+    with pytest.raises(error, match="level"):
+        scalar_to_hermite(f, ScalarControl(np.arange(6.0), level))
 
 
 def test_refine_even_slots_are_bitwise_copies():
@@ -247,9 +271,9 @@ def test_general_mask_matches_closed_form_for_dyadic():
     f = Frequency(1.3)
     for j in (0, 1, 3):
         h = 2.0 ** (-j)
-        tri = masks(f, j)
-        assert np.abs(refinement_mask_general(f, h, 2, 1).T - tri.hp1).max() < 1e-12
-        assert np.abs(refinement_mask_general(f, h, 2, -1).T - tri.hm1).max() < 1e-12
+        rule = masks(f, j)
+        assert np.abs(refinement_mask_general(f, h, 2, 1).T - hp1(rule)).max() < 1e-12
+        assert np.abs(refinement_mask_general(f, h, 2, -1).T - hm1(rule)).max() < 1e-12
 
 
 def test_general_mask_vanishes_outside_support():

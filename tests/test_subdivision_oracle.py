@@ -23,6 +23,7 @@ from exphermite import (
     scalar_refine_step,
 )
 from exphermite.subdivision import _handle_offset
+from rule2x2 import hm1, hp1
 
 EPS = float(np.finfo(float).eps)
 # measured worst cases over 400 random draws: 2.0 and 1.6
@@ -45,8 +46,8 @@ def oracle_refine_step(data: HermiteData, mask) -> HermiteData:
     nodes = _node_matrix(data)
     left = nodes if data.periodic else nodes[:-1]
     right = np.roll(nodes, -1, axis=0) if data.periodic else nodes[1:]
-    odd = np.einsum("ij,njd->nid", mask.hp1, left.reshape(left.shape[0], 2, -1)) \
-        + np.einsum("ij,njd->nid", mask.hm1, right.reshape(right.shape[0], 2, -1))
+    odd = np.einsum("ij,njd->nid", hp1(mask), left.reshape(left.shape[0], 2, -1)) \
+        + np.einsum("ij,njd->nid", hm1(mask), right.reshape(right.shape[0], 2, -1))
     odd = odd.reshape(left.shape)
     out_len = 2 * len(data) if data.periodic else 2 * len(data) - 1
     out = np.empty((out_len,) + nodes.shape[1:])
@@ -61,8 +62,8 @@ def oracle_scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarCont
     m_next = _conversion_matrix(freq, j + 1)
     m_inv = np.linalg.inv(_conversion_matrix(freq, j))
     even_rule = m_next @ m_inv
-    odd_left = m_next @ mask.hp1 @ m_inv
-    odd_right = m_next @ mask.hm1 @ m_inv
+    odd_left = m_next @ hp1(mask) @ m_inv
+    odd_right = m_next @ hm1(mask) @ m_inv
 
     blocks = pts.points.reshape(pts.node_count(), 2, -1)
     left = blocks if pts.periodic else blocks[:-1]
