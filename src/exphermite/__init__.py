@@ -12,6 +12,7 @@ from .basis import (
     make_generators,
     phi,
     phi_deriv,
+    phi_pair,
     piece_kernels,
     spline_eval,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "phi",
     "phi_deriv",
     "phi_from_rho",
+    "phi_pair",
     "piece_kernels",
     "refine_step",
     "refined_document",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,20 +94,14 @@ class E4Piece:
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Restrictions of phi1 and phi2 to [0, 1]; the negative side follows by
-    the even/odd extension."""
+    """Restrictions of phi1 and phi2 to [0, 1], and their derivatives; the
+    negative side follows by the even/odd extension."""
 
     g1: E4Piece
     g2: E4Piece
+    dg1: E4Piece
+    dg2: E4Piece
     freq: Frequency
-
-    @cached_property
-    def dg1(self) -> E4Piece:
-        return self.g1.derivative()
-
-    @cached_property
-    def dg2(self) -> E4Piece:
-        return self.g2.derivative()
 
 
 _BOUNDARY_TOL = 1e-9
@@ -138,7 +132,7 @@ def make_generators(freq: Frequency) -> GeneratorPair:
         2.0 * (half_sinc - 2.0 * half_cos) / half_s3, freq,
     )
 
-    pair = GeneratorPair(g1, g2, freq)
+    pair = GeneratorPair(g1, g2, g1.derivative(), g2.derivative(), freq)
     at0, at1 = piece_kernels(freq, 0.0), piece_kernels(freq, 1.0)
     residual = max(
         abs(g1.at(0.0, at0) - 1.0), abs(pair.dg1.at(0.0, at0)),
@@ -158,30 +152,38 @@ def _check_which(which: int) -> None:
         raise ValueError(f"which must be 1 or 2, got {which!r}")
 
 
-def _extend(piece: E4Piece, odd: bool, x):
-    """A piece on [0, 1] extended evenly (or oddly) to (-1, 1) and by zero
-    outside, at a finite float or at every entry of an array.  Outside
-    points evaluate the piece at 0 and multiply it by 0."""
+def _extend(even: E4Piece, odd: E4Piece, x):
+    """Two pieces of one frequency on [0, 1], the first extended evenly and
+    the second oddly to (-1, 1), both by zero outside, at a finite float or
+    at every entry of an array.  They share one kernel pair.  Outside
+    points evaluate the pieces at 0 and multiply them by 0."""
     ax = abs(x)
     inside = ax < 1.0
-    val = piece.value(ax * inside)
-    if odd:
-        val = val * (1 - 2 * (x < 0.0))
-    return val * inside
+    t = ax * inside
+    kernels = piece_kernels(even.freq, t)
+    return (even.at(t, kernels) * inside,
+            odd.at(t, kernels) * (1 - 2 * (x < 0.0)) * inside)
+
+
+def phi_pair(freq: Frequency, x):
+    """(phi1(x), phi2(x)) at a float or an array (zero outside (-1, 1)),
+    from one kernel pair per argument."""
+    pair = make_generators(freq)
+    return _extend(pair.g1, pair.g2, x)
 
 
 def phi(freq: Frequency, which: int, x):
     """Evaluate phi1 or phi2 at a float or an array (zero outside (-1, 1))."""
     _check_which(which)
-    pair = make_generators(freq)
-    return _extend(pair.g1 if which == 1 else pair.g2, which == 2, x)
+    return phi_pair(freq, x)[which - 1]
 
 
 def phi_deriv(freq: Frequency, which: int, x):
     """Derivative of phi1 or phi2; at knots the shared one-sided limit."""
     _check_which(which)
     pair = make_generators(freq)
-    return _extend(pair.dg1 if which == 1 else pair.dg2, which == 1, x)
+    # phi1' is odd and phi2' even
+    return _extend(pair.dg2, pair.dg1, x)[2 - which]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import __version__
-from .basis import phi, phi_deriv
+from .basis import _k1, phi, phi_deriv, phi_pair
 from .curve import reproduction_errors
 from .document import (
     CurveDocument,
@@ -30,7 +30,7 @@ from .document import (
     refined_document,
     render_svg,
 )
-from .frequency import DomainError, Frequency
+from .frequency import DomainError, Frequency, sin_over
 from .gram import det_scan_min, gram_entries, lower_bound_G, riesz_bounds
 from .subdivision import (
     _insert,
@@ -178,17 +178,18 @@ def _suite_masks(freq: Frequency) -> list[dict]:
     # top/h = 1/8, bot h = 3/2, diag = -1/4
     top, bot, diag = rules[-1]
     dist = max(abs(top / 2.0**-16 - 0.125), abs(bot * 2.0**-16 - 1.5), abs(diag + 0.25))
-    # one insertion per level on cos(w x), sin(w x) at the nodes x = 0, h =
-    # 2^-j, against the exact midpoint; derivative errors scaled by h, the
-    # error model of refine_step.  One broadcast call of the kernel runs
-    # [function, level] = [cos and sin, levels].
+    # one insertion per level at the nodes x = 0, h = 2^-j, against the
+    # exact midpoint, on cos(w x), sin(w x) and the scaled pair sin(w x)/w,
+    # (1 - cos(w x))/w^2, which tend to x and x^2/2 and so keep the check
+    # live at w = 0; derivative errors scaled by h, the error model of
+    # refine_step.  One broadcast call of the kernel runs [function, level].
     w, h = freq.omega0, np.ldexp(1.0, [-j for j in levels])
-    wx = w * np.multiply.outer(h, [0.0, 1.0, 0.5])
-    c, s = np.cos(wx), np.sin(wx)
-    v, d = np.array([c, s]), w * np.array([-s, c])
-    out_v, out_d = np.empty((2,) + v.shape[:2])
-    _insert(np.array(rules).T, v[..., 0], d[..., 0], v[..., 1], d[..., 1], out_v, out_d)
-    errs = np.maximum(abs(out_v - v[..., 2]), h * abs(out_d - d[..., 2])).max(axis=0)
+    x = np.multiply.outer(h, [0.0, 1.0, 0.5])
+    c, s, s_w = np.cos(w * x), np.sin(w * x), sin_over(w, x)
+    v = np.array([c, s, s_w, _k1(freq, x)])
+    d = np.array([-w * s, w * c, c, s_w])
+    mid_v, mid_d = _insert(np.array(rules).T, v[..., 0], d[..., 0], v[..., 1], d[..., 1])
+    errs = np.maximum(abs(mid_v - v[..., 2]), h * abs(mid_d - d[..., 2])).max(axis=0)
     return [
         _check("stationary-limit distance at level 16", dist, 1e-3, dist < 1e-3),
         *(_check(f"insertion keeps cos, sin at level {j}", err, 1e-13, err < 1e-13)
@@ -213,8 +214,8 @@ def _suite_gram(freq: Frequency) -> list[dict]:
     g = gram_entries(freq)
     # Gauss-Legendre on [0, 1], where each generator is one smooth segment
     x, weights = _gauss_rule()
-    p1, p2 = phi(freq, 1, x), phi(freq, 2, x)
-    q1, q2 = phi(freq, 1, x - 1.0), phi(freq, 2, x - 1.0)
+    p1, p2 = phi_pair(freq, x)
+    q1, q2 = phi_pair(freq, x - 1.0)
     pairs = {
         "a": (g.a, weights @ (p1 * q1)),
         "b": (g.b, 2 * weights @ (p1 * p1)),

@@ -36,7 +36,7 @@ class ClosedHermiteCurve:
         if len(pts) < 3:
             raise DomainError("a closed curve needs at least M = 3 control points")
         if not (np.isfinite(pts).all() and np.isfinite(tan).all()):
-            raise DomainError("control data must be finite")
+            raise DomainError("control data must be finite numbers")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "tangents", tan)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -65,6 +65,7 @@ class CurveDocument:
     points: np.ndarray
     tangents: np.ndarray
     omega0_mode: str = "auto"
+    _curve: ClosedHermiteCurve = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the reader's rules, so that every document built here reads back;
@@ -73,21 +74,21 @@ class CurveDocument:
             raise DocumentFormatError("document version and M must be ints")
         if self.version != DOCUMENT_VERSION:
             raise DocumentFormatError(f"unsupported document version {self.version!r}")
-        pts = np.asarray(self.points, dtype=float)
-        tan = np.asarray(self.tangents, dtype=float)
         if self.omega0_mode != "auto":
             raise DomainError(f"unsupported omega0_mode {self.omega0_mode!r}")
-        if self.period < 3 or pts.shape != (self.period, 2) or tan.shape != pts.shape:
+        # the curve's own rules: shape (M, 2), M >= 3, finite entries
+        curve = ClosedHermiteCurve(self.points, self.tangents)
+        if curve.period != self.period:
             raise DomainError(
-                f"points/tangents must be M = {self.period} >= 3 rows of [x, y]"
+                f"document M = {self.period} but it has {curve.period} points"
             )
-        if not (np.isfinite(pts).all() and np.isfinite(tan).all()):
-            raise DomainError("document entries must be finite numbers")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tangents", tan)
+        object.__setattr__(self, "points", curve.points)
+        object.__setattr__(self, "tangents", curve.tangents)
+        object.__setattr__(self, "_curve", curve)
 
     def curve(self) -> ClosedHermiteCurve:
-        return ClosedHermiteCurve(self.points, self.tangents)
+        """The document's curve, built and checked once with the document."""
+        return self._curve
 
     @classmethod
     def from_curve(cls, curve: ClosedHermiteCurve) -> "CurveDocument":

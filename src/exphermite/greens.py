@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .basis import _check_which, _k1, _k2, make_generators, phi
+from .basis import _check_which, _k1, _k2, make_generators, phi_pair
 from .bezier import conversion_ratio
 from .frequency import (
     Frequency,
@@ -102,10 +102,10 @@ def bspline(freq: Frequency, order: int, x, method: str = "green"):
             for k, tap in enumerate(annihilation_weights(freq, order).tolist())
         )
     elif method == "superfunction":
-        val = sum(
-            w1 * phi(freq, 1, x - n) + w2 * phi(freq, 2, x - n)
-            for n, w1, w2 in _superfunction_terms(freq, order)
-        )
+        val = 0.0
+        for n, w1, w2 in _superfunction_terms(freq, order):
+            p1, p2 = phi_pair(freq, x - n)
+            val = val + (w1 * p1 + w2 * p2)
     else:
         raise ValueError(f"method must be 'green' or 'superfunction', got {method!r}")
     return val * ((x > 0.0) & (x < order))
@@ -120,8 +120,8 @@ def rho_from_phi(freq: Frequency, which: int, x):
     total = 0.0
     for n, offset in ((n0, t), (n0 + 1.0, t - 1.0)):
         slope = rho(freq, 2, n) if which == 1 else _rho2_deriv(freq, n)
-        total = total + (rho(freq, which, n) * phi(freq, 1, offset)
-                         + slope * phi(freq, 2, offset))
+        p1, p2 = phi_pair(freq, offset)
+        total = total + (rho(freq, which, n) * p1 + slope * p2)
     return total
 
 

@@ -97,39 +97,29 @@ def _columns(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(len(arr), -1).T
 
 
-def _insert(rule, v0, d0, v1, d1, out_v, out_d) -> None:
-    """Midpoint slots between columns (v0, d0) and (v1, d1), written into
-    out_v / out_d, for the rule (top, bot, diag) of ``masks``; the entries
-    may also be arrays that broadcast against the columns.
+def _insert(rule, v0, d0, v1, d1):
+    """Midpoint slots (value, deriv) between columns (v0, d0) and (v1, d1)
+    for the rule (top, bot, diag) of ``masks``; the entries may also be
+    arrays that broadcast against the columns.
 
     The value (v0 + v1)/2 + top (d0 - d1) is summed as (v0/2 + top d0) +
     (v1/2 - top d1), in that pairwise order.  The derivative is taken in
     difference form, bot (v1 - v0) + diag (d0 + d1), which loses fewer
     digits to the large ``bot`` at deep levels than summing -bot v0 +
-    bot v1.  out_d holds top d1 while the value is formed.
+    bot v1.
     """
     top, bot, diag = rule
-    scratch = np.multiply(d0, top)
-    np.multiply(v0, 0.5, out=out_v)
-    out_v += scratch
-    np.multiply(v1, 0.5, out=scratch)
-    np.multiply(d1, top, out=out_d)
-    scratch -= out_d
-    out_v += scratch
-    np.subtract(v1, v0, out=out_d)
-    out_d *= bot
-    np.add(d0, d1, out=scratch)
-    scratch *= diag
-    out_d += scratch
+    return ((v0 * 0.5 + d0 * top) + (v1 * 0.5 - d1 * top),
+            (v1 - v0) * bot + (d0 + d1) * diag)
 
 
 def _insert_spans(rule, v, d, out_v, out_d, periodic: bool) -> None:
     """Midpoint slots of the n - 1 spans of the 1-D columns (v, d), then of
     the span from the last node back to the first when ``periodic``."""
     n = len(v)
-    _insert(rule, v[:-1], d[:-1], v[1:], d[1:], out_v[:n - 1], out_d[:n - 1])
+    out_v[:n - 1], out_d[:n - 1] = _insert(rule, v[:-1], d[:-1], v[1:], d[1:])
     if periodic:
-        _insert(rule, v[-1:], d[-1:], v[:1], d[:1], out_v[n - 1:], out_d[n - 1:])
+        out_v[n - 1:], out_d[n - 1:] = _insert(rule, v[-1:], d[-1:], v[:1], d[:1])
 
 
 def _check_refinable(n: int, periodic: bool) -> None:
@@ -188,7 +178,8 @@ def subdivide(freq: Frequency, data0: HermiteData, levels: int) -> HermiteData:
 class ScalarControl:
     """Bezier control points of the level-j representation: the node n of
     the Hermite data owns points[2n] (incoming handle) and points[2n+1]
-    (outgoing handle), so there are twice as many points as nodes.
+    (outgoing handle), so there are twice as many points as nodes.  The
+    level is checked as ``masks`` checks it.
 
     Finiteness is not checked here, because every refinement level builds
     one of these: ``hermite_to_scalar`` checks the Hermite data it converts,
@@ -200,6 +191,7 @@ class ScalarControl:
     periodic: bool = False
 
     def __post_init__(self) -> None:
+        _check_level(self.level)
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 0:
             raise ValueError("control points need an index axis, got a 0-d value")
@@ -277,9 +269,7 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     for p, o in zip(_columns(pts.points), _columns(out)):
         a, b = p[0::2], p[1::2]
         mean, half = 0.5 * (a + b), half_ratio * (b - a)
-        np.subtract(mean, half, out=o[0::4])
-        np.add(mean, half, out=o[1::4])
+        o[0::4], o[1::4] = mean - half, mean + half
         _insert_spans(rule, mean, half, mid_m, mid_half, pts.periodic)
-        np.subtract(mid_m, mid_half, out=o[2::4])
-        np.add(mid_m, mid_half, out=o[3::4])
+        o[2::4], o[3::4] = mid_m - mid_half, mid_m + mid_half
     return ScalarControl(out, j + 1, pts.periodic)

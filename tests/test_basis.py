@@ -16,6 +16,7 @@ from exphermite import (
     make_generators,
     phi,
     phi_deriv,
+    phi_pair,
     spline_eval,
 )
 from rescaled import phi_rescaled, phi_rescaled_deriv
@@ -358,6 +359,67 @@ def test_one_kernel_pair_per_distinct_argument(monkeypatch, w0):
         calls.update(dict.fromkeys(calls, 0))
         BezierSegment(0.0, 1.0, 2.0, 3.0, freq).value(x / 5.0)   # 4 pieces at t
         assert calls == dict.fromkeys(calls, 1)
+
+
+def one_piece_extension(piece, odd, x):
+    """The piece at |x|, times sgn(x) when ``odd``, and 0 outside (-1, 1):
+    the extension of one piece on its own kernel pair."""
+    ax = abs(x)
+    inside = ax < 1.0
+    val = piece.value(ax * inside)
+    if odd:
+        val = val * (1 - 2 * (x < 0.0))
+    return val * inside
+
+
+def bits(values) -> np.ndarray:
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("w0", [0.0, 1e-300, 1e-7, 0.5, math.pi])
+def test_phi_pair_is_phi1_and_phi2_bitwise(w0):
+    f = Frequency(w0)
+    pair = make_generators(f)
+    xs = np.concatenate([np.linspace(-1.5, 1.5, 61), [-1.0, -0.0, 0.0, 1.0]])
+    for x in (*xs.tolist(), xs):
+        p1, p2 = phi_pair(f, x)
+        assert type(p1) is type(p2) is type(phi(f, 1, x))
+        assert np.array_equal(bits(p1), bits(phi(f, 1, x))), (w0, x)
+        assert np.array_equal(bits(p2), bits(phi(f, 2, x))), (w0, x)
+        # and both pieces as they were evaluated one at a time
+        assert np.array_equal(bits(p1), bits(one_piece_extension(pair.g1, False, x)))
+        assert np.array_equal(bits(p2), bits(one_piece_extension(pair.g2, True, x)))
+        assert np.array_equal(bits(phi_deriv(f, 1, x)),
+                              bits(one_piece_extension(pair.dg1, True, x)))
+        assert np.array_equal(bits(phi_deriv(f, 2, x)),
+                              bits(one_piece_extension(pair.dg2, False, x)))
+
+
+@pytest.mark.parametrize("w0", [0.0, 1e-7, 2.0])
+def test_generator_pair_callers_share_one_kernel_pair(monkeypatch, w0):
+    import exphermite.basis as basis
+    from exphermite import bspline, rho_from_phi
+    from exphermite.cli import _suite_gram
+
+    freq = Frequency(w0)
+    xs = np.linspace(-0.5, 3.5, 9)
+    expected = [  # (call, kernel pairs: one per distinct argument)
+        (lambda: phi_pair(freq, 0.3), 1),
+        (lambda: phi(freq, 2, xs), 1),
+        (lambda: phi_deriv(freq, 1, 0.3), 1),
+        (lambda: rho_from_phi(freq, 1, 0.3), 2),
+        (lambda: rho_from_phi(freq, 2, xs), 2),
+        (lambda: bspline(freq, 4, 1.3, "superfunction"), 3),
+        (lambda: bspline(freq, 3, xs, "superfunction"), 2),
+        (lambda: _suite_gram(freq), 2),
+    ]
+    for call, _ in expected:
+        call()  # fill the per-frequency caches
+    calls = counting(monkeypatch, basis, ["piece_kernels"])
+    for call, pairs in expected:
+        calls["piece_kernels"] = 0
+        call()
+        assert calls["piece_kernels"] == pairs
 
 
 def test_array_calls_match_scalar_calls():

@@ -584,6 +584,8 @@ BREAKS = {
     "diag * (1 + 1e-9)": (2, lambda x: x * (1 + 1e-9), (0,)),
     "diag negated at 0": (2, lambda x: -x, (0,)),
     "diag negated at 16": (2, lambda x: -x, (16,)),
+    "bot doubled at 0": (1, lambda x: 2.0 * x, (0,)),
+    "bot doubled at 16": (1, lambda x: 2.0 * x, (16,)),
 }
 
 
@@ -591,11 +593,23 @@ BREAKS = {
 def test_insertion_checks_fail_on_a_broken_rule(monkeypatch, capsys, name):
     entry, change, levels = BREAKS[name]
     monkeypatch.setattr(cli, "masks", _perturbed(entry, change, levels))
-    code, lines = _verify_lines(capsys, "masks")
-    assert code == 1
-    for j in (0, 16):
-        line = lines[f"insertion keeps cos, sin at level {j}"]
-        assert line.endswith("FAIL" if j in levels else "PASS"), line
+    # at w = 0 cos and sin are constants; the scaled pair keeps the check live
+    for omega0 in ("3pi/4", "0"):
+        code, lines = _verify_lines(capsys, "masks", omega0)
+        assert code == 1
+        for j in (0, 16):
+            line = lines[f"insertion keeps cos, sin at level {j}"]
+            assert line.endswith("FAIL" if j in levels else "PASS"), (omega0, line)
+
+
+def test_document_builds_and_checks_its_curve_once():
+    curve = unit_circle(8)
+    doc = CurveDocument(1, 8, curve.points, curve.tangents)
+    assert doc.curve() is doc.curve()
+    assert np.array_equal(doc.curve().points, curve.points)
+    for period in (7, 9):
+        with pytest.raises(DomainError, match=f"M = {period}"):
+            CurveDocument(1, period, curve.points, curve.tangents)
 
 
 def test_document_round_trip_is_lossless(tmp_path):

@@ -23,7 +23,12 @@ from exphermite import (
     subdivide,
     unit_circle,
 )
-from exphermite.subdivision import MAX_LEVEL, _handle_offset, check_node_budget
+from exphermite.subdivision import (
+    MAX_LEVEL,
+    _handle_offset,
+    _insert,
+    check_node_budget,
+)
 from rescaled import phi_rescaled, phi_rescaled_deriv
 from rule2x2 import hm1, hp1
 
@@ -103,6 +108,7 @@ def test_deepest_level_rule_is_finite():
     (1.0, ValueError),
     (True, ValueError),
     (-1, ValueError),
+    (-3, ValueError),
     ("3", ValueError),
 ])
 def test_levels_are_validated(level, error):
@@ -112,8 +118,22 @@ def test_levels_are_validated(level, error):
         masks(f, level)
     with pytest.raises(error, match="level"):
         hermite_to_scalar(f, level, data)
-    with pytest.raises(error, match="level"):
-        scalar_to_hermite(f, ScalarControl(np.arange(6.0), level))
+    # refused where it enters, so scalar_to_hermite never sees it
+    with pytest.raises(error, match="level") as info:
+        ScalarControl(np.arange(6.0), level)
+    assert type(info.value) is error
+
+
+def test_broadcast_insert_equals_one_call_per_rule():
+    # verify's masks suite runs [function, level] through one call
+    f = Frequency(2.0)
+    rules = [masks(f, j) for j in (0, 5, 16)]
+    v0, d0, v1, d1 = np.random.default_rng(3).normal(size=(4, 4, 3))
+    mid_v, mid_d = _insert(np.array(rules).T, v0, d0, v1, d1)
+    for k, rule in enumerate(rules):
+        one_v, one_d = _insert(rule, v0[:, k], d0[:, k], v1[:, k], d1[:, k])
+        assert np.array_equal(mid_v[:, k].view(np.uint64), one_v.view(np.uint64))
+        assert np.array_equal(mid_d[:, k].view(np.uint64), one_d.view(np.uint64))
 
 
 def test_refine_even_slots_are_bitwise_copies():
