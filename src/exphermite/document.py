@@ -39,6 +39,7 @@ docstring gives the measured crossover.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -162,6 +163,18 @@ _LAST3_LEAD, _LAST3_NODOT = 1000, 2000
 _UNIT_TABLE = _unit_table()
 
 
+def _two_product(a: np.ndarray, b: np.ndarray, b_hi: np.ndarray):
+    """Dekker's TwoProduct: (p, e) with p = fl(a b) and p + e = a b
+    exactly, where b_hi is the high half of b by Veltkamp's split (the
+    callers take b and b_hi from tables)."""
+    b_lo = b - b_hi
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
 def _scaled_integer(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """D = round-half-even(v * 10**k) exactly, as int64, for the lanes
     where v * 10**k is either below 2**52 or at least 2**53.
@@ -172,14 +185,7 @@ def _scaled_integer(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     |d + e| < 1/2, and d = +-1/2 moves r one step only if e has d's sign;
     from 2**53 on, p is an even integer and rint(e) rounds the tie to
     even."""
-    pow10 = _POW10.take(k)
-    pow10_hi = _POW10_HI.take(k)
-    pow10_lo = pow10 - pow10_hi
-    p = v * pow10
-    t = _SPLIT * v
-    v_hi = t - (t - v)
-    v_lo = v - v_hi
-    e = ((v_hi * pow10_hi - p) + v_hi * pow10_lo + v_lo * pow10_hi) + v_lo * pow10_lo
+    p, e = _two_product(v, _POW10.take(k), _POW10_HI.take(k))
     r = np.rint(p)
     d = p - r
     step = np.rint(e)
@@ -365,6 +371,213 @@ def dumps_scalar_document(doc: CurveDocument, ctrl) -> str:
     )
 
 
+# --- text to numbers --------------------------------------------------------
+
+SMALL_READ_BYTES = 100_000
+"""Documents shorter than this are read by json.loads alone."""
+
+_INT = rb"(-?(?:0|[1-9][0-9]{0,17}))"
+_HEAD = re.compile(rb'\{\n  "version": ' + _INT + rb',\n  "M": ' + _INT
+                   + rb',\n  "omega0_mode": "([^"\\\x00-\x1f]*)",\n  "points": \[')
+_MIDDLE = b'],\n  "tangents": ['
+_TAIL = b"]\n}\n"
+_ROW_BREAK = b"], ["
+_CHUNK_BYTES = 48 * _CHUNK_ROWS  # about _CHUNK_ROWS rows of the writer's text
+
+_WIDTH = 24  # mantissa bytes a token may have, three 8-byte words
+_NO_POINT = _WIDTH
+
+
+def _digit_masks() -> np.ndarray:
+    """Row width * 25 + c: the 0x0F masks, as 24 bytes, that keep the last
+    ``width`` bytes of a 24-byte window as digit values and clear the point
+    at column c (c = _NO_POINT: none)."""
+    width, point = np.divmod(np.arange((_WIDTH + 1) ** 2), _WIDTH + 1)
+    col = np.arange(_WIDTH)
+    keep = (col >= _WIDTH - width[:, None]) & (col != point[:, None])
+    return (keep * np.uint8(15)).view(f"V{_WIDTH}").ravel()
+
+
+_DIGIT_MASKS = _digit_masks()
+_POW10_SPAN = 291
+
+
+@functools.cache
+def _pow10_table():
+    """(hi, hi's Veltkamp high half, lo) at index j + _POW10_SPAN, with
+    hi + lo = 10**j to about 2**-106 relative, for |j| <= _POW10_SPAN.  hi
+    is 10**j correctly rounded and lo the remainder correctly rounded, both
+    from integer arithmetic (int / int is correctly rounded).  From
+    10**-291 on hi and lo are normal doubles, and 10**17 * 10**291 stays
+    below the largest double."""
+    hi, lo = [], []
+    for j in range(-_POW10_SPAN, _POW10_SPAN + 1):
+        num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    return hi, _SPLIT * hi - (_SPLIT * hi - hi), np.array(lo)
+
+
+def _is_digit(b: np.ndarray) -> np.ndarray:
+    return b - np.uint8(48) < 10  # uint8 wraps below "0"
+
+
+def _decode_chunk(buf: np.ndarray, words: np.ndarray, lo: int, hi: int):
+    """(rows, 2) doubles of buf[lo:hi], bitwise those of json.loads, if it
+    is [x, y] rows joined by ", " whose entries are numbers this decoder
+    takes; else None.  words[i] is buf[i:i + _WIDTH] as one item.  See the
+    module docstring for the rules and the exactness argument."""
+    chunk = buf[lo:hi]
+    # of the bytes a list of numbers holds, exactly "," and the marks "."
+    # "e" "-" "+" have their low five bits in 5..14
+    at = np.flatnonzero((chunk & np.uint8(31)) - np.uint8(5) < 10)
+    at += lo
+    kind = buf.take(at)
+    comma = kind == ord(",")
+    commas = at[comma]  # after x, then between rows, and so on
+    if len(commas) % 2 == 0:
+        return None
+    n = len(commas) + 1  # tokens
+    start, end = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    end[0::2] = commas[0::2]
+    end[1:-1:2] = commas[1::2] - 1
+    end[-1] = hi - 1
+    start[0] = lo + 1
+    start[2::2] = commas[1::2] + 3
+    start[1::2] = end[0::2] + 2
+    # the rows are "[" x ", " y "]", joined by ", ": the 2n - 1 bytes
+    # checked here must be the only non-digit bytes that are not at
+    if not ((buf.take(start[0::2] - 1) == ord("[")).all()
+            and (buf.take(start[1::2] - 1) == ord(" ")).all()
+            and (buf.take(end[1::2]) == ord("]")).all()
+            and (buf.take(commas[1::2] + 1) == ord(" ")).all()
+            and np.count_nonzero(chunk - np.uint8(48) > 9) == len(at) + 2 * n - 1):
+        return None
+
+    # so the marks lie in tokens, and a mark's token is the number of
+    # commas before it
+    marks = np.flatnonzero(~comma)
+    token = marks - np.arange(len(marks))
+    m_at, m_kind = at.take(marks), kind.take(marks)
+    is_dot, is_exp = m_kind == ord("."), m_kind == ord("e")
+    is_sign = (m_kind == ord("-")) | (m_kind == ord("+"))
+    if not (is_dot | is_exp | is_sign).all():
+        return None
+    dot, dot_tok = m_at[is_dot], token[is_dot]
+    exp, exp_tok = m_at[is_exp], token[is_exp]
+    sign, sign_tok = m_at[is_sign], token[is_sign]
+    neg = np.zeros(n, dtype=bool)
+    neg[sign_tok[sign == start[sign_tok]]] = True
+    mantissa_start = start + neg
+    mantissa_end = end.copy()
+    mantissa_end[exp_tok] = exp
+    # the JSON number grammar: a sign opens the token (a minus) or follows
+    # the e; at most one e and one point, each after a digit, the point
+    # before the e and followed by a digit; the mantissa opens with a
+    # digit, and a leading 0 stands alone; 1 to 3 exponent digits
+    first = buf.take(mantissa_start)
+    exp_sign = buf.take(exp + 1)
+    exp_digits = end[exp_tok] - exp - 1 - ((exp_sign == ord("-")) | (exp_sign == ord("+")))
+    if not (((buf.take(sign - 1) == ord("e"))
+             | (buf.take(sign) == ord("-")) & (sign == start.take(sign_tok))).all()
+            and (np.diff(exp_tok) > 0).all() and (np.diff(dot_tok) > 0).all()
+            and _is_digit(buf.take(exp - 1)).all() and _is_digit(buf.take(dot - 1)).all()
+            and _is_digit(buf.take(dot + 1)).all() and (dot < mantissa_end[dot_tok]).all()
+            and _is_digit(first).all()
+            and not ((first == ord("0")) & _is_digit(buf.take(mantissa_start + 1))).any()
+            and ((exp_digits >= 1) & (exp_digits <= 3)).all()):
+        return None
+    width = mantissa_end - mantissa_start  # digits and the point
+    if (width > _WIDTH).any():
+        return None
+
+    # the mantissa's digit values right-aligned in three little-endian
+    # words, the bytes before it and the point cleared, then eight digits
+    # a word combined as pairs, fours and eights
+    frac = mantissa_end[dot_tok] - dot - 1  # fraction digits
+    mask = width * (_WIDTH + 1) + _NO_POINT
+    mask[dot_tok] -= frac + 1
+    w = (words[mantissa_end - _WIDTH].view("<u8")
+         & _DIGIT_MASKS[mask].view("<u8")).reshape(n, 3)
+    w = (w * 10 + (w >> 8)) & 0x00FF00FF00FF00FF
+    w = (w * 100 + (w >> 16)) & 0x0000FFFF0000FFFF
+    w = (w * 10_000 + (w >> 32)) & 0xFFFFFFFF
+    if (w[:, 0] >= 100).any():
+        return None
+    digits = (w[:, 0] * 10**16 + w[:, 1] * 10**8 + w[:, 2]).view(np.int64)
+    # the point's 0 squeezed out: D = (D0 + 9 F) / 10 for the fraction F;
+    # from 18 fraction digits on the integer part is 0 and D = D0
+    d0 = digits[dot_tok]
+    f = d0 % _POW10_INT.take(np.minimum(frac, 17))
+    digits[dot_tok] = (d0 + 9 * f) // 10
+    if (((frac > 17) & (d0 >= 10**17)).any() or (digits >= 10**17).any()
+            or (neg & (digits == 0)).any()):  # -0 falls back
+        return None
+
+    # the decimal exponent j: the exponent less the fraction digits
+    j = np.full(n, _POW10_SPAN, dtype=np.int64)
+    j[dot_tok] -= frac
+    e = buf.take(end[exp_tok] - 1) & np.int64(15)
+    for k in (2, 3):
+        e += (buf.take(end[exp_tok] - k) & 15) * np.where(exp_digits >= k, 10 ** (k - 1), 0)
+    j[exp_tok] += np.where(exp_sign == ord("-"), -e, e)
+    if not ((j >= 0) & (j <= 2 * _POW10_SPAN)).all():
+        return None
+
+    # round D 10**j once: D = d_hi + d_lo exactly, 10**j = hi + lo
+    hi, hi_hi, lo = (a.take(j) for a in _pow10_table())
+    d_hi = digits.astype(float)
+    d_lo = (digits - d_hi.astype(np.int64)).astype(float)
+    p, e = _two_product(d_hi, hi, hi_hi)
+    c = e + (d_hi * lo + d_lo * hi)
+    r = p + c
+    d = (p - r) + c
+    # r + d / 0.98 leaves r iff |d| is above 0.49 of the gap on d's side
+    if (r + d / 0.98 != r).any():
+        return None
+    return np.negative(r, out=r, where=neg).reshape(-1, 2)
+
+
+def _read_pairs(data: bytes, buf: np.ndarray, words: np.ndarray, lo: int, hi: int):
+    """(rows, 2) doubles of data[lo:hi] if it is [x, y] rows joined by ", "
+    that _decode_chunk takes, else None.  The text is cut at row breaks
+    into chunks of about _CHUNK_ROWS rows."""
+    blocks = []
+    while lo < hi:
+        cut = data.find(_ROW_BREAK, min(lo + _CHUNK_BYTES, hi), hi) + 1 or hi
+        block = _decode_chunk(buf, words, lo, cut)
+        if block is None:
+            return None
+        blocks.append(block)
+        lo = cut + 2
+    return np.concatenate(blocks) if blocks else None
+
+
+def _read_layout(text: str):
+    """(version, M, mode, points, tangents) of text in exactly the layout
+    dumps_document writes, else None (see the module docstring)."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    head = _HEAD.match(data)
+    middle = data.find(_MIDDLE, head.end()) if head else -1
+    if middle < 0 or not data.endswith(_TAIL):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((len(data) - _WIDTH + 1,), dtype=f"V{_WIDTH}", buffer=data,
+                       strides=(1,))
+    points = _read_pairs(data, buf, words, head.end(), middle)
+    if points is None:
+        return None
+    tangents = _read_pairs(data, buf, words, middle + len(_MIDDLE), len(data) - len(_TAIL))
+    if tangents is None:
+        return None
+    return (int(head[1]), int(head[2]), head[3].decode("ascii"), points, tangents)
+
+
 def _require(payload: dict, key: str, kinds) -> object:
     if key not in payload:
         raise DocumentFormatError(f"missing document key {key!r}")
@@ -385,9 +598,9 @@ def _point_list(payload: dict, key: str) -> list[list[float]]:
     return rows
 
 
-def loads_document(text: str) -> CurveDocument:
-    """Parse and validate; format problems raise DocumentFormatError,
-    invariant violations raise DomainError."""
+def _read_json(text: str):
+    """(version, M, mode, points, tangents) of any JSON text, the lists
+    type-checked; format problems raise DocumentFormatError."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -398,19 +611,27 @@ def loads_document(text: str) -> CurveDocument:
         raise DomainError(f"document number out of range: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentFormatError("document root must be a JSON object")
-    version = _require(payload, "version", int)
+    return (_require(payload, "version", int), _require(payload, "M", int),
+            _require(payload, "omega0_mode", str),
+            _point_list(payload, "points"), _point_list(payload, "tangents"))
+
+
+def loads_document(text: str) -> CurveDocument:
+    """Parse and validate; format problems raise DocumentFormatError,
+    invariant violations raise DomainError.  Text of SMALL_READ_BYTES or
+    more in the layout dumps_document writes is decoded by the array
+    reader, anything else by json.loads (see the module docstring); the
+    checks after that are the same for both."""
+    fields = _read_layout(text) if len(text) >= SMALL_READ_BYTES else None
+    version, period, mode, points, tangents = fields or _read_json(text)
     if version != DOCUMENT_VERSION:
         raise DocumentFormatError(
             f"unsupported document version {version!r}; "
             f"expected {DOCUMENT_VERSION}"
         )
-    period = _require(payload, "M", int)
-    mode = _require(payload, "omega0_mode", str)
-    points = _point_list(payload, "points")
-    tangents = _point_list(payload, "tangents")
     try:
-        points = np.array(points, dtype=float)
-        tangents = np.array(tangents, dtype=float)
+        points = np.asarray(points, dtype=float)
+        tangents = np.asarray(tangents, dtype=float)
     except OverflowError:  # an integer literal beyond the float range
         raise DomainError("document entries must be finite numbers") from None
     return CurveDocument(version, period, points, tangents, mode)

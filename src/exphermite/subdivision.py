@@ -97,10 +97,11 @@ def _columns(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(len(arr), -1).T
 
 
-def _insert(rule, v0, d0, v1, d1):
+def _insert(rule, v0, d0, v1, d1, out=(None, None)):
     """Midpoint slots (value, deriv) between columns (v0, d0) and (v1, d1)
     for the rule (top, bot, diag) of ``masks``; the entries may also be
-    arrays that broadcast against the columns.
+    arrays that broadcast against the columns.  ``out`` may name arrays
+    that receive the two results.
 
     The value (v0 + v1)/2 + top (d0 - d1) is summed as (v0/2 + top d0) +
     (v1/2 - top d1), in that pairwise order.  The derivative is taken in
@@ -109,17 +110,17 @@ def _insert(rule, v0, d0, v1, d1):
     bot v1.
     """
     top, bot, diag = rule
-    return ((v0 * 0.5 + d0 * top) + (v1 * 0.5 - d1 * top),
-            (v1 - v0) * bot + (d0 + d1) * diag)
+    return (np.add(v0 * 0.5 + d0 * top, v1 * 0.5 - d1 * top, out=out[0]),
+            np.add((v1 - v0) * bot, (d0 + d1) * diag, out=out[1]))
 
 
 def _insert_spans(rule, v, d, out_v, out_d, periodic: bool) -> None:
     """Midpoint slots of the n - 1 spans of the 1-D columns (v, d), then of
     the span from the last node back to the first when ``periodic``."""
     n = len(v)
-    out_v[:n - 1], out_d[:n - 1] = _insert(rule, v[:-1], d[:-1], v[1:], d[1:])
+    _insert(rule, v[:-1], d[:-1], v[1:], d[1:], out=(out_v[:n - 1], out_d[:n - 1]))
     if periodic:
-        out_v[n - 1:], out_d[n - 1:] = _insert(rule, v[-1:], d[-1:], v[:1], d[:1])
+        _insert(rule, v[-1:], d[-1:], v[:1], d[:1], out=(out_v[n - 1:], out_d[n - 1:]))
 
 
 def _check_refinable(n: int, periodic: bool) -> None:
@@ -265,11 +266,15 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     # old node k becomes node 2k (points 4k, 4k+1) and the midpoint after
     # it node 2k+1 (points 4k+2, 4k+3)
     out = np.empty((2 * refined_length(n, pts.periodic),) + pts.points.shape[1:])
-    mid_m, mid_half = np.empty((2, len(out) // 4))
+    mean, half = np.empty(n), np.empty(n)
+    mid_m, mid_half = np.empty(len(out) // 4), np.empty(len(out) // 4)
     for p, o in zip(_columns(pts.points), _columns(out)):
         a, b = p[0::2], p[1::2]
-        mean, half = 0.5 * (a + b), half_ratio * (b - a)
-        o[0::4], o[1::4] = mean - half, mean + half
+        np.multiply(np.add(a, b, out=mean), 0.5, out=mean)
+        np.multiply(np.subtract(b, a, out=half), half_ratio, out=half)
+        np.subtract(mean, half, out=o[0::4])
+        np.add(mean, half, out=o[1::4])
         _insert_spans(rule, mean, half, mid_m, mid_half, pts.periodic)
-        o[2::4], o[3::4] = mid_m - mid_half, mid_m + mid_half
+        np.subtract(mid_m, mid_half, out=o[2::4])
+        np.add(mid_m, mid_half, out=o[3::4])
     return ScalarControl(out, j + 1, pts.periodic)

@@ -360,6 +360,43 @@ def test_scalar_refine_commutes_with_vector_refine():
     assert np.abs(back.values - data.values).max() < 1e-11
 
 
+def assignment_form_scalar_step(pts, f):
+    """scalar_refine_step with each slot group assigned from temporaries,
+    the form that the out= writes replaced; kept as their oracle."""
+    j = pts.level
+    top, bot, diag = masks(f, j)
+    offset, next_offset = _handle_offset(f, j), _handle_offset(f, j + 1)
+    rule = (top / next_offset, bot * next_offset, diag)
+    half_ratio = 0.5 * next_offset / offset
+    cols = pts.points.reshape(len(pts.points), -1).T
+    n = len(pts.points) // 2
+    spans = n if pts.periodic else n - 1
+    out = np.empty((4 * spans + 2 * (n - spans), cols.shape[0]))
+    for p, o in zip(cols, out.T):
+        a, b = p[0::2], p[1::2]
+        mean, half = 0.5 * (a + b), half_ratio * (b - a)
+        o[0::4], o[1::4] = mean - half, mean + half
+        nxt = np.roll(np.arange(n), -1)[:spans]
+        mid_m, mid_half = _insert(rule, mean[:spans], half[:spans], mean[nxt], half[nxt])
+        o[2::4], o[3::4] = mid_m - mid_half, mid_m + mid_half
+    return out.reshape((len(out),) + pts.points.shape[1:])
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("shape", [(7,), (7, 2), (5, 3)])
+def test_scalar_step_out_writes_are_bitwise_the_assignment_form(periodic, shape):
+    rng = np.random.default_rng(17)
+    for w in (0.0, 1e-5, 2.0, math.pi):
+        f = Frequency(w)
+        ctrl = hermite_to_scalar(f, 0, HermiteData(rng.normal(size=shape),
+                                                   rng.normal(size=shape), periodic))
+        for _ in range(4):
+            expected = assignment_form_scalar_step(ctrl, f)
+            ctrl = scalar_refine_step(ctrl, f)
+            assert ctrl.points.shape == expected.shape
+            assert np.array_equal(ctrl.points.view(np.int64), expected.view(np.int64))
+
+
 def test_scalar_refine_keeps_constants():
     for w in (0.0, 1e-5, 1.5, math.pi):
         for points in (np.full(10, 2.5), np.tile([2.5, -0.75], (10, 1))):
