@@ -449,7 +449,8 @@ def _pow10_table():
     is 10**j correctly rounded and lo the remainder correctly rounded, both
     from integer arithmetic (int / int is correctly rounded).  From
     10**-291 on hi and lo are normal doubles, and 10**17 * 10**291 stays
-    below the largest double."""
+    below the largest double.  Built on first use (about 1.5 ms), so that
+    importing the package does not pay for it."""
     hi, lo = [], []
     for j in range(-_POW10_SPAN, _POW10_SPAN + 1):
         num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
@@ -458,7 +459,10 @@ def _pow10_table():
         hi.append(h)
         lo.append((num * d - n * den) / (den * d))
     hi = np.array(hi)
-    return hi, _SPLIT * hi - (_SPLIT * hi - hi), np.array(lo)
+    table = hi, _SPLIT * hi - (_SPLIT * hi - hi), np.array(lo)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _is_digit(b: np.ndarray) -> np.ndarray:

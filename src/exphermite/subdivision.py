@@ -266,8 +266,8 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     # old node k becomes node 2k (points 4k, 4k+1) and the midpoint after
     # it node 2k+1 (points 4k+2, 4k+3)
     out = np.empty((2 * refined_length(n, pts.periodic),) + pts.points.shape[1:])
-    mean, half = np.empty(n), np.empty(n)
-    mid_m, mid_half = np.empty(len(out) // 4), np.empty(len(out) // 4)
+    mean, half = np.empty((2, n))
+    mid_m, mid_half = np.empty((2, len(out) // 4))
     for p, o in zip(_columns(pts.points), _columns(out)):
         a, b = p[0::2], p[1::2]
         np.multiply(np.add(a, b, out=mean), 0.5, out=mean)
