@@ -54,7 +54,7 @@ mode and curve checks after that are the same for both routes.
   comes before the e; no leading zeros; 1 to 3 exponent digits.  The
   decoder also refuses -0, mantissas of 18 or more significant digits or
   more than 24 bytes, and decimal exponents beyond +-291 (subnormals, and
-  |x| above about 1e307 or below about 1e-275).
+  |x| of 1e308 and above or below 1e-275, when written with 17 digits).
 - Decoding: the mantissa digits D < 10^17 are gathered right-aligned in
   24 bytes and combined eight to a word; the value is D 10^j, j the
   exponent less the fraction digits.  D = d_hi + d_lo exactly in doubles
@@ -475,8 +475,10 @@ def _decode_chunk(buf: np.ndarray, words: np.ndarray, lo: int, hi: int):
     takes; else None.  words[i] is buf[i:i + _WIDTH] as one item.  See the
     module docstring for the rules and the exactness argument."""
     chunk = buf[lo:hi]
-    # of the bytes a list of numbers holds, exactly "," and the marks "."
-    # "e" "-" "+" have their low five bits in 5..14
+    # the bytes whose low five bits are 5..14: of the bytes a list of
+    # numbers holds, exactly "," and the marks "." "e" "-" "+" (any other
+    # byte found here is refused with the marks, and any other non-digit
+    # byte fails the count below)
     at = np.flatnonzero((chunk & np.uint8(31)) - np.uint8(5) < 10)
     at += lo
     kind = buf.take(at)
@@ -493,7 +495,7 @@ def _decode_chunk(buf: np.ndarray, words: np.ndarray, lo: int, hi: int):
     start[2::2] = commas[1::2] + 3
     start[1::2] = end[0::2] + 2
     # the rows are "[" x ", " y "]", joined by ", ": the 2n - 1 bytes
-    # checked here must be the only non-digit bytes that are not at
+    # checked here must be the only non-digit bytes besides those found
     if not ((buf.take(start[0::2] - 1) == ord("[")).all()
             and (buf.take(start[1::2] - 1) == ord(" ")).all()
             and (buf.take(end[1::2]) == ord("]")).all()
