@@ -45,7 +45,6 @@ from .gram import (
     det_scan_min,
     gram_entries,
     lower_bound_G,
-    lower_bound_G_zero_limit,
     riesz_bounds,
 )
 from .greens import (
@@ -112,7 +111,6 @@ __all__ = [
     "hermite_to_scalar",
     "loads_document",
     "lower_bound_G",
-    "lower_bound_G_zero_limit",
     "make_generators",
     "masks",
     "phi",

@@ -2,8 +2,9 @@
 property verification.
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags, 3 domain or
-invariant errors (including output above MAX_OUTPUT_ROWS rows), 4
-malformed input JSON or unsupported document version, 5 unwritable output.
+invariant errors (including output above MAX_OUTPUT_ROWS rows and output
+numbers that are not finite), 4 malformed input JSON, input that is not
+UTF-8 or an unsupported document version, 5 unwritable output.
 """
 
 from __future__ import annotations
@@ -82,11 +83,15 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_document(path: str) -> CurveDocument:
+    # UTF-8 whatever the locale, as JSON text is
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read {path!r}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_JSON) from exc
+    except UnicodeDecodeError as exc:
+        print(f"error: malformed document: not UTF-8 text: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_JSON) from exc
     try:
         return loads_document(text)
@@ -312,8 +317,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--samples-per-span must be >= 1")
     # looked up per call, so the handler that runs is the module's current one
     handler = globals()[f"cmd_{args.command}"]
+    # every output is checked finite, so a numpy overflow warning would only
+    # precede the error line
     try:
-        return handler(args)
+        with np.errstate(all="ignore"):
+            return handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -154,8 +154,6 @@ at 60,000 rows one pass ran 1.95x of %, passes of 512, 2,048 and 8,192
 rows 2.03x, 2.73x and 2.83x (same box as SMALL_BLOCK_ROWS)."""
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
-_POW10 = 10.0 ** np.arange(23)  # exact doubles up to 1e22
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
 _WHOLE_DIV = _POW10_INT[np.minimum(np.arange(23), 17)]  # D // 10**k, D < 1e17
 # the k fraction digits F of a %.17g lane, left-aligned in 20 digits, are
@@ -221,7 +219,8 @@ def _scaled_integer(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     |d + e| < 1/2, and d = +-1/2 moves r one step only if e has d's sign;
     from 2**53 on, p is an even integer and rint(e) rounds the tie to
     even."""
-    p, e = _two_product(v, _POW10.take(k), _POW10_HI.take(k))
+    hi, hi_hi, _ = _pow10_table()  # 10**k is hi exactly for k <= 22
+    p, e = _two_product(v, hi.take(k + _POW10_SPAN), hi_hi.take(k + _POW10_SPAN))
     r = np.rint(p)
     d = p - r
     step = np.rint(e)
@@ -315,8 +314,7 @@ def _format_chunk(block: np.ndarray, literals, conversion: str, sep: str) -> str
     fast &= usable
     rows, cols = np.nonzero(~fast)
     # the fallback lanes' % texts, from one % pass
-    texts = ("\0".join([conversion] * len(rows))
-             % tuple(block[rows, cols].tolist())).encode().split(b"\0")
+    texts = _format_rows_percent(block[rows, cols], conversion, "\0").encode().split(b"\0")
     # widths in units: the last integer unit holds three digits
     int_width = 1 + _units_for(len(str(int(whole.max()))) - 3)
     width = max(int_width + len(frac_units), _units_for(max(map(len, texts))))
@@ -394,7 +392,10 @@ def dumps_document(doc: CurveDocument) -> str:
 def dumps_scalar_document(doc: CurveDocument, ctrl) -> str:
     """Serialize the scalar-scheme control polygon ``ctrl`` (a
     ScalarControl) refined from ``doc``: one control point per line, in the
-    number format of dumps_document."""
+    number format of dumps_document.  Control points that overflowed to inf
+    or nan raise DomainError, as the vector scheme's do."""
+    if not np.isfinite(ctrl.points).all():
+        raise DomainError("control points must be finite numbers")
     body = format_rows(ctrl.points, _PAIR, ",\n    ")
     return (
         "{\n"
@@ -449,8 +450,10 @@ def _pow10_table():
     is 10**j correctly rounded and lo the remainder correctly rounded, both
     from integer arithmetic (int / int is correctly rounded).  From
     10**-291 on hi and lo are normal doubles, and 10**17 * 10**291 stays
-    below the largest double.  Built on first use (about 1.5 ms), so that
-    importing the package does not pay for it."""
+    below the largest double.  For 0 <= j <= 22, 10**j is a double, so hi
+    is it exactly and lo is 0: the writer's scaled integers use those.
+    Built on first use (about 1.5 ms), so that importing the package does
+    not pay for it."""
     hi, lo = [], []
     for j in range(-_POW10_SPAN, _POW10_SPAN + 1):
         num, den = (10**j, 1) if j >= 0 else (1, 10**-j)
@@ -736,7 +739,9 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
                handles: bool = False) -> str:
     """Deterministic SVG 1.1 picture: one closed path through a dense
     evaluation of the curve, optionally with one cross marker and one
-    tangent line per control point."""
+    tangent line per control point.  Pixel coordinates that are not finite
+    (a curve so small that its scale to the viewport overflows) raise
+    DomainError."""
     if samples_per_span < 1:
         raise DomainError(
             f"samples_per_span must be >= 1, got {samples_per_span!r}"
@@ -745,7 +750,17 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
     m = curve.period
     samples, _ = curve.eval(np.arange(m * samples_per_span) / samples_per_span)
     to_px = _fit(samples)
-    path = "M " + format_rows(to_px(samples), "%.6f,%.6f", " L ") + " Z"
+    path = to_px(samples)
+    marks = np.empty((0, 12))
+    if handles:
+        arm = 0.008 * VIEWPORT
+        x, y = to_px(doc.points).T
+        tip_x, tip_y = to_px(doc.points + doc.tangents).T
+        marks = np.column_stack([x, y, tip_x, tip_y, x - arm, y, x + arm, y,
+                                 x, y - arm, x, y + arm])
+    if not (np.isfinite(path).all() and np.isfinite(marks).all()):
+        raise DomainError("pixel coordinates must be finite numbers")
+    path = "M " + format_rows(path, "%.6f,%.6f", " L ") + " Z"
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -754,11 +769,6 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
         f'<path d="{path}" fill="none" stroke="black" stroke-width="2"/>',
     ]
     if handles:
-        arm = 0.008 * VIEWPORT
-        x, y = to_px(doc.points).T
-        tip_x, tip_y = to_px(doc.points + doc.tangents).T
-        lines.append(format_rows(
-            np.column_stack([x, y, tip_x, tip_y, x - arm, y, x + arm, y,
-                             x, y - arm, x, y + arm]), _HANDLE, "\n"))
+        lines.append(format_rows(marks, _HANDLE, "\n"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

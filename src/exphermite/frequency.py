@@ -9,10 +9,11 @@ like, finite at t = 0), with small relative error for every argument.
 Written through the scaled kernels, each coefficient is a ratio with a
 finite limit, so one formula holds on all of [0, pi], w = 0 included.
 
-Every kernel takes a float or an ndarray.  An array runs numpy's sin and
-cos under a mask; a float runs libm's sin and cos and only the branch its
-argument selects, so it stays a Python float, and it gets bitwise the
-entry an array call gives it.
+Every kernel takes a float or an ndarray, and each branch of a kernel
+(series or direct form) is written once for both.  A float runs the branch
+its argument selects with libm's sin and cos, so it stays a Python float;
+an array runs each branch with numpy's sin and cos on only the lanes that
+select it, so every lane gets bitwise what its float gets.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ def _horner(coeffs, t2):
     return total
 
 
+def _series_branch(t, coeffs, scaled):
+    t2 = t * t
+    total = _horner(coeffs, t2)
+    return total if scaled else total * (t * t2)
+
+
+def _direct_branch(t, direct, scaled):
+    value = direct(t)
+    return value / (t * t * t) if scaled else value
+
+
 def _stable(t, coeffs, direct, scaled=False):
     """Series below the cutoff, ``direct`` at or above it, elementwise.
 
@@ -98,35 +110,22 @@ def _stable(t, coeffs, direct, scaled=False):
     every term after the tenth is under 4e-19 of the sum, far below half an
     ulp.
 
-    A float runs only the branch that |t| selects.  On an ndarray every
-    lane runs both and the mask keeps one: the series sees 0 on the direct
-    lanes, and ``direct`` sees t + 1, inside (0.1, 1.9), on the series
-    lanes, so no lane divides by zero.  The branch the mask drops adds
-    +0.0 to the kept one (or nan, where the kept one is nan already), so
-    the float branch adds +0.0 too and both give the same bits, signed
-    zeros included.
+    Each branch is written once, above.  A float runs the one that |t|
+    selects; an ndarray runs each on the lanes that select it (nan and
+    +-inf take ``direct``), so a lane gets bitwise what its float gets.
+    Both add 0.0, which writes the series' -0.0 at t = -0.0 (unscaled) as
+    +0.0.
     """
     if not isinstance(t, np.ndarray):
         if abs(t) < _SERIES_CUTOFF:
-            t2 = t * t
-            total = _horner(coeffs, t2)
-            kept = total if scaled else total * (t * t2)
-        else:
-            closed = direct(t)
-            kept = closed / (t * t * t) if scaled else closed
-        return kept + 0.0
-    size = abs(t)
-    near, far = size < _SERIES_CUTOFF, size >= _SERIES_CUTOFF
-    small = t * near
-    t2 = small * small
-    total = _horner(coeffs, t2)
-    u = t + near
-    closed = direct(u)
-    if scaled:
-        closed = closed / (u * u * u)
-    else:
-        total = total * (small * t2)
-    return total * near + closed * far
+            return _series_branch(t, coeffs, scaled) + 0.0
+        return _direct_branch(t, direct, scaled) + 0.0
+    near = abs(t) < _SERIES_CUTOFF
+    far = ~near
+    out = np.empty(t.shape)
+    out[near] = _series_branch(t[near], coeffs, scaled)
+    out[far] = _direct_branch(t[far], direct, scaled)
+    return out + 0.0
 
 
 def _series(numerator):

@@ -129,9 +129,3 @@ def lower_bound_G(freq: Frequency) -> float:
     """Closed-form lower bound for the symbol determinant, uniform in the
     Fourier frequency; positive and nondecreasing over [0, pi]."""
     return _table_values(freq)[5]
-
-
-def lower_bound_G_zero_limit() -> float:
-    """Limit of the lower bound as omega0 -> 0+: the exact rational 29/6300,
-    the leading term of the series 29/6300 + O(w^2) of the closed form."""
-    return 29 / 6300

@@ -230,6 +230,71 @@ def test_subdivide_deeply_nested_document_exit_four(tmp_path, capsys):
     assert "nests too deeply" in capsys.readouterr().err
 
 
+def _circle_payload(scale=1.0, mode="auto"):
+    curve = unit_circle(8)
+    return {"version": 1, "M": 8, "omega0_mode": mode,
+            "points": (scale * curve.points).tolist(),
+            "tangents": (scale * curve.tangents).tolist()}
+
+
+# finite points near +-1e308 whose refinement and pixel coordinates overflow
+OVERFLOWING = json.dumps({
+    "version": 1, "M": 4, "omega0_mode": "auto",
+    "points": [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308], [0, 0]],
+    "tangents": [[1e308, 1e308]] * 4}).encode()
+
+# (document bytes, command and flags, exit code, message)
+BAD_INPUTS = {
+    "latin-1 text": (json.dumps(_circle_payload(mode="aut\u00e9"), ensure_ascii=False)
+                     .encode("latin-1"), ["subdivide"], 4, "not UTF-8"),
+    "utf-16 text": (json.dumps(_circle_payload()).encode("utf-16"), ["render"], 4,
+                    "not UTF-8"),
+    "scalar overflow": (OVERFLOWING, ["subdivide", "--levels", "3", "--scheme", "scalar"],
+                        3, "control points must be finite"),
+    "vector overflow": (OVERFLOWING, ["subdivide", "--levels", "3"], 3,
+                        "control data must be finite"),
+    "render overflow": (OVERFLOWING, ["render", "--handles"], 3,
+                        "pixel coordinates must be finite"),
+    "render below 5e-306": (json.dumps(_circle_payload(1e-306)).encode(), ["render"], 3,
+                            "pixel coordinates must be finite"),
+    # UTF-8 whatever the locale: an ASCII locale reads the mode, and refuses it
+    "utf-8 text, ascii locale": (json.dumps(_circle_payload(mode="aut\u00e9"),
+                                            ensure_ascii=False).encode(),
+                                 ["subdivide"], 3, "unsupported omega0_mode"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_ends_in_one_error_line_and_no_file(tmp_path, case):
+    # a fresh process, so that stderr holds everything a user would see,
+    # numpy warnings included, under a locale whose encoding is ASCII
+    data, command, code, message = BAD_INPUTS[case]
+    path, out = tmp_path / "doc.json", tmp_path / "out"
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0"}
+    argv = [command[0], str(path), *command[1:], "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "exphermite.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [2e-305, 1e308])
+def test_render_extreme_finite_extents(tmp_path, scale):
+    # the smallest and largest extents whose pixel coordinates stay finite
+    path = write_payload(tmp_path, _circle_payload(scale))
+    svg = tmp_path / "extreme.svg"
+    assert main(["render", path, "--handles", "--out", str(svg)]) == 0
+    text = svg.read_text()
+    assert "nan" not in text and "inf" not in text
+    root = ET.fromstring(text)
+    assert len(root.findall(f"{SVG_NS}line")) == 8
+
+
 def old_point_list(payload, key):
     """The per-row reader that the single type scan replaced, kept as the
     oracle of test_reader_matches_per_row_oracle."""
@@ -695,8 +760,15 @@ def test_format_rows_matches_format_number(values):
     assert format_rows(block, "<%.17g|%.17g>", "; ") == expected
 
 
-# the two conversions the package writes, as (row template, separator)
-CONVERSIONS = [("[%.17g, %.17g]", ", "), ("%.6f,%.6f", " L ")]
+# the templates the package writes, as (row template, separator):
+# documents, scalar documents, the basis CSV, SVG paths and SVG handles
+CONVERSIONS = [("[%.17g, %.17g]", ", "), ("[%.17g, %.17g]", ",\n    "),
+               ("%.17g,%.17g", "\n"), ("%.6f,%.6f", " L "), (document._HANDLE, "\n")]
+
+
+def _columns(row):
+    """The number of conversions in a row template, one per column."""
+    return row.count("%")
 
 
 def _percent_oracle(block, row, sep):
@@ -724,11 +796,11 @@ def _assert_same_text(block, row, sep):
        which=st.sampled_from(CONVERSIONS))
 def test_format_rows_kernel_matches_percent_on_all_doubles(values, which):
     # tiled to the crossover so that the numpy kernel, not the % form, runs
-    block = np.resize(np.array(values), (document.SMALL_BLOCK_ROWS, 2))
+    block = np.resize(np.array(values), (document.SMALL_BLOCK_ROWS, _columns(which[0])))
     _assert_same_text(block, *which)
 
 
-def _adversarial_values():
+def _adversarial_values(columns=2):
     rng = np.random.default_rng(12)
     # %.17g rounding ties (D + 1/2) 10**-k and their neighbours, every k
     # of the fixed-notation range
@@ -746,12 +818,12 @@ def _adversarial_values():
         by_128, powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
         specials])
     values = np.concatenate([values, -values])
-    return rng.permutation(values)[: len(values) // 2 * 2].reshape(-1, 2)
+    return rng.permutation(values)[: len(values) // columns * columns].reshape(-1, columns)
 
 
 @pytest.mark.parametrize("row,sep", CONVERSIONS)
 def test_format_rows_kernel_matches_percent_on_adversarial_values(row, sep):
-    block = _adversarial_values()
+    block = _adversarial_values(_columns(row))
     assert len(block) > 4 * document.SMALL_BLOCK_ROWS
     _assert_same_text(block, row, sep)
 
@@ -767,7 +839,7 @@ def test_format_rows_writes_exact_6f_ties_to_even():
 def test_format_rows_same_bytes_across_the_crossover(row, sep):
     # one block just below the crossover (the % form), one at it and one
     # across a chunk boundary (the kernel) give the same text row for row
-    block = _adversarial_values()[: document._CHUNK_ROWS + 3]
+    block = _adversarial_values(_columns(row))[: document._CHUNK_ROWS + 3]
     small = document.SMALL_BLOCK_ROWS
     below = format_rows(block[: small - 1], row, sep)
     at = format_rows(block[:small], row, sep)

@@ -20,7 +20,6 @@ from exphermite import (
     det_scan_min,
     gram_entries,
     lower_bound_G,
-    lower_bound_G_zero_limit,
     phi,
     riesz_bounds,
 )
@@ -252,10 +251,11 @@ def test_lower_bound_monotone_positive():
 
 
 def test_zero_limit_from_above():
-    g0 = lower_bound_G_zero_limit()
+    # the table at w = 0 is the limit, the exact rational 29/6300
+    g0 = lower_bound_G(Frequency(0.0))
     assert g0 > 0.0
     assert lower_bound_G(Frequency(0.01)) >= g0 - 1e-12
-    assert abs(lower_bound_G(Frequency(0.0)) - g0) <= 4 * math.ulp(g0)
+    assert abs(g0 - 29 / 6300) <= 4 * math.ulp(g0)
 
 
 def test_zero_limit_is_the_series_limit():
@@ -266,7 +266,7 @@ def test_zero_limit_is_the_series_limit():
         den = mp.taylor(lambda w: oracle.lower_bound_parts(w)[1], 0, 12)
         assert all(abs(c) < 1e-40 for c in num[:12] + den[:12])
         limit = float(num[12] / den[12])
-    assert abs(lower_bound_G_zero_limit() - limit) <= math.ulp(limit)
+    assert abs(lower_bound_G(Frequency(0.0)) - limit) <= math.ulp(limit)
 
 
 def test_small_frequency_entries_match_rationals():
