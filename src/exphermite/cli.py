@@ -130,13 +130,14 @@ def cmd_subdivide(args: argparse.Namespace) -> int:
     doc = _load_document(args.input)
     curve = doc.curve()
     data = curve.to_hermite_data()
+    # one output row per vector node, two (its control points) per scalar one
+    rows_per_node = 1 if args.scheme == "vector" else 2
+    check_node_budget(len(data), data.periodic, args.levels,
+                      MAX_OUTPUT_ROWS // rows_per_node)
     if args.scheme == "vector":
-        check_node_budget(len(data), data.periodic, args.levels, MAX_OUTPUT_ROWS)
         refined = subdivide(curve.freq, data, args.levels)
         _write_text(args.out, dumps_document(refined_document(doc, refined)))
         return 0
-    # two control points, so two output rows, per node
-    check_node_budget(len(data), data.periodic, args.levels, MAX_OUTPUT_ROWS // 2)
     ctrl = hermite_to_scalar(curve.freq, 0, data)
     for _ in range(args.levels):
         ctrl = scalar_refine_step(ctrl, curve.freq)
@@ -265,7 +266,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY_FAIL if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: building it costs
+    over ten times a parse, and parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="exphermite",
         description="Exponential Hermite splines: evaluate, subdivide, render, verify.",
@@ -298,13 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--omega0", type=parse_omega0, required=True)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use: building it costs
-    over ten times a parse, and parse_args leaves the parser unchanged."""
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

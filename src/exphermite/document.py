@@ -230,6 +230,17 @@ def _scaled_integer(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     return r.astype(np.int64) + step.astype(np.int64)
 
 
+def _groups(x: np.ndarray, count: int) -> list:
+    """x as ``count`` 4-digit groups, most significant first; the first
+    group is what is left above the others, so it takes no divmod (and
+    count 0 gives no groups)."""
+    groups = []
+    for _ in range(count - 1):
+        x, g = np.divmod(x, 10_000)
+        groups.append(g)
+    return [x, *groups[::-1]] if count else []
+
+
 def _digits_17g(v: np.ndarray):
     """%.17g of the lanes 1e-4 <= v < 1e16, where it is fixed notation with
     k = 16 - X decimals (X = floor(log10 v)) and no trailing zeros.
@@ -243,12 +254,7 @@ def _digits_17g(v: np.ndarray):
     hi, lo = np.divmod(frac, _FRAC_B.take(k))
     hi *= _FRAC_A.take(k)
     lo *= _FRAC_C.take(k)
-    groups = [lo]
-    for _ in range(3):
-        hi, g = np.divmod(hi, 10_000)
-        groups.append(g)
-    groups.append(hi)
-    groups = groups[::-1][: -(-int(k.max()) // 4)]
+    groups = (_groups(hi, 4) + [lo])[: -(-int(k.max()) // 4)]
     units = []
     trailing = np.ones(v.shape, dtype=bool)
     for g in reversed(groups):
@@ -272,14 +278,9 @@ def _integer_units(whole: np.ndarray, point: np.ndarray, out: np.ndarray) -> Non
     """Write the unit indices of the integer parts ``whole`` (no leading
     zeros, at least one digit, then the point where ``point``) into the
     last axis of ``out``, whose length is the number of units."""
-    width = out.shape[-1]
     rest, last = np.divmod(whole, 1000)
-    groups = []
-    for _ in range(width - 1):
-        rest, g = np.divmod(rest, 10_000)
-        groups.append(g)
     leading = np.ones(whole.shape, dtype=bool)
-    for j, g in enumerate(reversed(groups)):
+    for j, g in enumerate(_groups(rest, out.shape[-1] - 1)):
         out[..., j] = g + np.where(leading, _LEAD4, _PAD4)
         leading &= g == 0
     out[..., -1] = last + _LAST3 + _LAST3_LEAD * leading + _LAST3_NODOT * ~point
@@ -708,15 +709,18 @@ MARGIN_FRACTION = 0.05
 def _fit(points: np.ndarray):
     """Uniform map from data coordinates into the fixed square viewport
     with a margin; y is flipped so the curve appears in the usual
-    orientation."""
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
-    if span <= 0.0:
-        span = 1.0
+    orientation.  The extents are halved before they are subtracted or
+    added, so that a curve near the double range keeps a finite span.
+    Halving a normal double is exact, so every other extent gets bitwise
+    the scale and center that (hi - lo) and (lo + hi) / 2 give."""
+    lo = 0.5 * points.min(axis=0)
+    hi = 0.5 * points.max(axis=0)
+    half_span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
+    if half_span <= 0.0:
+        half_span = 0.5
     margin = MARGIN_FRACTION * VIEWPORT
-    scale = (VIEWPORT - 2.0 * margin) / span
-    center = 0.5 * (lo + hi)
+    scale = (0.5 * VIEWPORT - margin) / half_span
+    center = lo + hi
 
     def to_px(p):
         """(n, 2) data points to (n, 2) pixel coordinates."""

@@ -60,26 +60,22 @@ class Frequency:
         return Frequency(w)
 
 
-def _sin(u):
-    """np.sin of an array; libm's sin of a float, so a float stays a
-    Python float.  libm raises on +-inf where np.sin gives nan, and nan is
-    what a float gets too."""
-    if isinstance(u, np.ndarray):
-        return np.sin(u)
-    try:
-        return math.sin(u)
-    except ValueError:
-        return math.nan
+def _trig(np_fn, libm_fn):
+    """np_fn of an array; libm_fn of a float, so a float stays a Python
+    float.  libm raises on +-inf where numpy gives nan, and nan is what a
+    float gets too."""
+    def apply(u):
+        if isinstance(u, np.ndarray):
+            return np_fn(u)
+        try:
+            return libm_fn(u)
+        except ValueError:
+            return math.nan
+    return apply
 
 
-def _cos(u):
-    """np.cos of an array, libm's cos of a float; nan at +-inf, as ``_sin``."""
-    if isinstance(u, np.ndarray):
-        return np.cos(u)
-    try:
-        return math.cos(u)
-    except ValueError:
-        return math.nan
+_sin = _trig(np.sin, math.sin)
+_cos = _trig(np.cos, math.cos)
 
 
 def _horner(coeffs, t2):

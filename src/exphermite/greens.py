@@ -91,10 +91,9 @@ def bspline(freq: Frequency, order: int, x, method: str = "green"):
     method="green": normalization times the annihilation filter applied to
     the matching Green's function (rho1 for order 4, rho2 for order 3).
     method="superfunction": the short combination of shifted generators.
-    The two agree pointwise.
+    The two agree pointwise.  An order other than 3 or 4 is refused by the
+    filter or the superfunction terms before any point is evaluated.
     """
-    if order not in (3, 4):
-        raise ValueError(f"order must be 3 or 4, got {order!r}")
     if method == "green":
         which = 5 - order  # rho1 for order 4, rho2 for order 3
         val = _normalization(freq) * sum(

@@ -161,12 +161,12 @@ def subdivide(freq: Frequency, data0: HermiteData, levels: int) -> HermiteData:
     and derivative of the Hermite interpolant of data0 at n / 2^levels.
 
     Values are exact to a few eps of the data scale; derivatives to a
-    relative c eps 2^levels (see refine_step).  Raises DomainError before
-    allocating anything if data0 is not finite or the result would exceed
-    MAX_NODES nodes.
+    relative c eps 2^levels (see refine_step).  The level count is checked
+    as ``masks`` checks a level.  Raises DomainError before allocating
+    anything if data0 is not finite or the result would exceed MAX_NODES
+    nodes.
     """
-    if levels < 0:
-        raise ValueError(f"levels must be nonnegative, got {levels!r}")
+    _check_level(levels)
     _check_finite(data0)
     check_node_budget(len(data0), data0.periodic, levels)
     data = data0

@@ -295,6 +295,19 @@ def test_render_extreme_finite_extents(tmp_path, scale):
     assert len(root.findall(f"{SVG_NS}line")) == 8
 
 
+def test_render_svg_keeps_a_curve_near_the_double_range_apart():
+    # hi - lo of the extent 2e308 overflows; an infinite span would give
+    # the scale 0 and put every point on the viewport center
+    circle = unit_circle(8)
+    doc = CurveDocument(1, 8, 1e308 * circle.points, 1e308 * circle.tangents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = document.render_svg(doc, samples_per_span=4)
+    path = ET.fromstring(svg).find(f"{SVG_NS}path").get("d")
+    points = path.removeprefix("M ").removesuffix(" Z").split(" L ")
+    assert len(points) == len(set(points)) == 8 * 4
+
+
 def old_point_list(payload, key):
     """The per-row reader that the single type scan replaced, kept as the
     oracle of test_reader_matches_per_row_oracle."""

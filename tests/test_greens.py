@@ -141,6 +141,13 @@ def test_bspline_support(w0, order, method):
     assert bspline(f, order, float(order), method) == 0.0
 
 
+@pytest.mark.parametrize("method", ["green", "superfunction"])
+@pytest.mark.parametrize("order", [2, 5])
+def test_bspline_refuses_other_orders(order, method):
+    with pytest.raises(ValueError, match="order must be 3 or 4"):
+        bspline(Frequency(1.0), order, 1.5, method)
+
+
 @pytest.mark.parametrize("w0", [0.7, 1.0, 3 * math.pi / 4, math.pi])
 def test_bspline_methods_agree(w0):
     f = Frequency(w0)

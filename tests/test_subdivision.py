@@ -118,6 +118,9 @@ def test_levels_are_validated(level, error):
         masks(f, level)
     with pytest.raises(error, match="level"):
         hermite_to_scalar(f, level, data)
+    with pytest.raises(error, match="level") as info:
+        subdivide(f, data, level)
+    assert type(info.value) is error
     # refused where it enters, so scalar_to_hermite never sees it
     with pytest.raises(error, match="level") as info:
         ScalarControl(np.arange(6.0), level)
