@@ -11,7 +11,10 @@ between runs, so only pairs run back to back are compared.
 
 Prints, for every end-to-end metric, each side's median and quartiles, the
 median over pairs of change / parent and the number of pairs the change won
-(ties count for neither side).  With ``--record N`` it also writes
+(ties count for neither side).  A metric whose parent runs spread from min
+to max by more than its ``BENCHMARK.json`` bound, relative to their median,
+is marked ``unresolved``: on that box a change within the bound cannot be
+told from the parent's own drift.  With ``--record N`` it also writes
 ``BENCH_<N>_<sha7>.json`` to the current directory, named after the commit
 CHANGE_DIR has checked out: every run's metrics, the summary and the machine
 facts.  An A/A run (the same directory twice) checks the tool itself.
@@ -96,6 +99,15 @@ def ratio(change: float, parent: float) -> float:
     return change / parent
 
 
+def spread(values) -> float:
+    """(max - min) / |median| of one side's runs; 0 when they all agree."""
+    width = max(values) - min(values)
+    median = abs(float(np.median(values)))
+    if width == 0.0:
+        return 0.0
+    return width / median if median else float("inf")
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for m in metrics:
@@ -107,6 +119,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         summary[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": quartiles(parent), "change": quartiles(change),
+            "parent_spread": spread(parent),
             "ratio_median": float(np.median([ratio(c, p)
                                              for p, c in zip(parent, change)])),
             "won": sum(d > 0 for d in diffs), "ties": sum(d == 0 for d in diffs),
@@ -139,6 +152,10 @@ def print_summary(workload: str, seeds: list[int], seconds: float,
         print(f"{name:<16} {sides[0]:>34} {sides[1]:>34} "
               f"{s['ratio_median']:7.3f}  {s['won']}/{s['pairs']}"
               + (f" ({s['ties']} ties)" if s["ties"] else ""))
+    for name, s in summary.items():
+        if s["parent_spread"] > s["bound"]:
+            print(f"unresolved: {name} parent spread {s['parent_spread']:.3g} "
+                  f"> bound {s['bound']:g}")
 
 
 def main(argv=None) -> int:

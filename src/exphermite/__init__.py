@@ -39,6 +39,7 @@ from .document import (
     refined_document,
     render_svg,
 )
+from . import greens
 from .frequency import DomainError, Frequency
 from .gram import (
     GramEntries,
@@ -70,7 +71,8 @@ __version__ = "0.1.0"
 # the cached functions themselves, kept apart from the names above so that a
 # wrapper installed over a name does not hide its cache
 _CACHES = {"make_generators": make_generators, "gram_entries": gram_entries,
-           "bernstein_basis": bernstein_basis}
+           "bernstein_basis": bernstein_basis,
+           "greens_constants": greens._constants}
 
 
 def diagnostics() -> dict[str, dict[str, int]]:

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .frequency import (
+    DomainError,
     Frequency,
     sin_minus_x_cos_scaled,
     sin_over,
@@ -232,19 +233,42 @@ class HermiteData:
         return n
 
 
+def _span_values(pair: GeneratorPair, t, kernels, kernels1, v0, v1, d0, d1):
+    """The Hermite interpolant of (v0, d0) at 0 and (v1, d1) at 1 at the
+    fraction t in [0, 1), from the kernel pairs ``kernels`` at t and
+    ``kernels1`` at 1 - t:
+
+        v0 + (v1 - v0) g1(1 - t) + d0 g2(t) - d1 g2(1 - t),
+
+    and v0 itself at t = 0 (the shared C^1 limit equals it by the
+    interpolation conditions).  The sample values enter through the
+    partition of unity g1(t) + g1(1 - t) = 1: constants come back bitwise,
+    and the rounding error scales with the jump v1 - v0, not with the size
+    of the values.  The fractions and the span data broadcast against each
+    other.
+    """
+    t1 = 1.0 - t
+    value = (
+        v0 + (v1 - v0) * pair.g1.at(t1, kernels1)
+        + d0 * pair.g2.at(t, kernels) - d1 * pair.g2.at(t1, kernels1)
+    )
+    return np.where(t == 0.0, v0, value)
+
+
+def _points_last(array, point_ndim: int):
+    """Move the leading point axes of an evaluation to the end."""
+    coords = range(point_ndim)
+    return np.moveaxis(array, coords, range(-point_ndim, 0))[()]
+
+
 def spline_eval(freq: Frequency, data: HermiteData, x):
     """Evaluate sum_n (s(n) phi1(x-n) + s'(n) phi2(x-n)) and its derivative
     at a float or at every entry of an array of x.
 
     Only the two shifts bracketing x contribute.  x on [n, n+1) uses the
-    segment of that interval; integer x returns the stored sample (the
-    shared C^1 limit equals it by the interpolation conditions).  Results
-    have the shape of x, followed by the point shape for (L, dim) data.
-
-    The sample values enter through the partition of unity g1(t) +
-    g1(1 - t) = 1, as v0 + (v1 - v0) g1(1 - t): constants come back
-    bitwise, and the rounding error scales with the jump v1 - v0, not with
-    the size of the values.
+    segment of that interval (``_span_values``); integer x returns the
+    stored sample.  Results have the shape of x, followed by the point
+    shape for (L, dim) data.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -260,19 +284,52 @@ def spline_eval(freq: Frequency, data: HermiteData, x):
     t1 = 1.0 - t
     # one kernel pair per argument, shared by the pieces evaluated there
     k0, k1 = piece_kernels(freq, t), piece_kernels(freq, t1)
-    # g1(t) = 1 - g1(1 - t), so the value terms are v0 + (v1 - v0) g1(1 - t)
-    # and the slope terms (v0 - v1) g1'(1 - t)
-    jump = v1 - v0
-    value = (
-        v0 + jump * pair.g1.at(t1, k1)
-        + d0 * pair.g2.at(t, k0) - d1 * pair.g2.at(t1, k1)
-    )
+    value = _span_values(pair, t, k0, k1, v0, v1, d0, d1)
+    # g1'(t) = g1'(1 - t), so the slope terms of the values are
+    # (v0 - v1) g1'(1 - t)
     deriv = (
         d0 * pair.dg2.at(t, k0) + d1 * pair.dg2.at(t1, k1)
-        - jump * pair.dg1.at(t1, k1)
+        - (v1 - v0) * pair.dg1.at(t1, k1)
     )
-    at_node = t == 0.0
-    coords = range(data.values.ndim - 1)
-    last = range(-len(coords), 0)
-    return (np.moveaxis(np.where(at_node, v0, value), coords, last)[()],
-            np.moveaxis(np.where(at_node, d0, deriv), coords, last)[()])
+    point_ndim = data.values.ndim - 1
+    return (_points_last(value, point_ndim),
+            _points_last(np.where(t == 0.0, d0, deriv), point_ndim))
+
+
+def spline_grid(freq: Frequency, data: HermiteData, samples_per_span: int):
+    """The spline of ``spline_eval`` at n + k/S for every span n and
+    k = 0..S-1, with S = samples_per_span, in increasing order of the
+    parameter: shape (spans * S,), followed by the point shape.  Periodic
+    data have the spans n = 0..L-1, the last one closing the loop; other
+    data the spans n = 0..L-2.  No derivatives are formed.
+
+    The Hermite functions are integer translates of one generator pair, so
+    the kernel pairs are needed only at the S fractions k/S and 1 - k/S.
+    They are evaluated once and the data of every span are broadcast
+    against them: two kernel pairs per fraction instead of two per sample.
+
+    The parameter is exactly n + fl(k/S), with the formula of
+    ``spline_eval``.  For a power-of-two S it equals fl((nS + k)/S), so the
+    samples are bitwise those of ``spline_eval`` at arange(spans * S) / S;
+    for other S the two parameters differ in their low bits.
+
+    DomainError unless samples_per_span is an int (a bool is not a count)
+    of at least 1.
+    """
+    if (isinstance(samples_per_span, bool) or not isinstance(samples_per_span, int)
+            or samples_per_span < 1):
+        raise DomainError(
+            f"samples_per_span must be an int >= 1, got {samples_per_span!r}"
+        )
+    spans = np.arange(len(data) if data.periodic else len(data) - 1)
+    t = np.arange(samples_per_span) / samples_per_span
+    # coordinates first, then spans, then fractions
+    values, derivs = data.values.T[..., None], data.derivs.T[..., None]
+    i0, i1 = data.index(spans), data.index(spans + 1)
+    value = _span_values(
+        make_generators(freq), t, piece_kernels(freq, t),
+        piece_kernels(freq, 1.0 - t), values[..., i0, :], values[..., i1, :],
+        derivs[..., i0, :], derivs[..., i1, :],
+    )
+    return _points_last(value.reshape(value.shape[:-2] + (-1,)),
+                        data.values.ndim - 1)

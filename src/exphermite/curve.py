@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import HermiteData, spline_eval
+from .basis import HermiteData, spline_eval, spline_grid
 from .frequency import DomainError, Frequency
 
 
@@ -60,6 +60,13 @@ class ClosedHermiteCurve:
         array of n parameters gives (n, 2) points and tangents."""
         value, deriv = spline_eval(self.freq, self._data, np.mod(t, self.period))
         return np.asarray(value), np.asarray(deriv)
+
+    def sample(self, samples_per_span: int) -> np.ndarray:
+        """The (M * S, 2) points at the parameters n + k/S, n = 0..M-1 and
+        k = 0..S-1 with S = samples_per_span, in that order and without
+        tangents: one kernel pair per fraction k/S, shared by all M spans
+        (``spline_grid``).  DomainError unless S is an int >= 1."""
+        return spline_grid(self.freq, self._data, samples_per_span)
 
     def affine(self, matrix: np.ndarray, shift: np.ndarray) -> "ClosedHermiteCurve":
         """Image under x -> A x + b; evaluation commutes with the map."""

@@ -743,16 +743,12 @@ def render_svg(doc: CurveDocument, samples_per_span: int = 64,
                handles: bool = False) -> str:
     """Deterministic SVG 1.1 picture: one closed path through a dense
     evaluation of the curve, optionally with one cross marker and one
-    tangent line per control point.  Pixel coordinates that are not finite
-    (a curve so small that its scale to the viewport overflows) raise
-    DomainError."""
-    if samples_per_span < 1:
-        raise DomainError(
-            f"samples_per_span must be >= 1, got {samples_per_span!r}"
-        )
-    curve = doc.curve()
-    m = curve.period
-    samples, _ = curve.eval(np.arange(m * samples_per_span) / samples_per_span)
+    tangent line per control point.  The path samples each span at the
+    fractions k / samples_per_span (``ClosedHermiteCurve.sample``).  A
+    samples_per_span other than an int >= 1, and pixel coordinates that are
+    not finite (a curve so small that its scale to the viewport overflows),
+    raise DomainError."""
+    samples = doc.curve().sample(samples_per_span)
     to_px = _fit(samples)
     path = to_px(samples)
     marks = np.empty((0, 12))

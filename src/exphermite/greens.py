@@ -19,6 +19,8 @@ the identities hold down to w = 0.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,36 +52,60 @@ def _rho2_deriv(freq: Frequency, x):
     return 0.5 * sin_over(freq.omega0, abs(x))
 
 
+def _taps(cos_w: float, order: int) -> tuple[float, ...]:
+    """The filter taps of ``annihilation_weights`` from cos(w)."""
+    if order == 3:
+        return (1.0, -1.0 - 2.0 * cos_w, 1.0 + 2.0 * cos_w, -1.0)
+    if order == 4:
+        return (1.0, -2.0 - 2.0 * cos_w, 2.0 + 4.0 * cos_w, -2.0 - 2.0 * cos_w, 1.0)
+    raise ValueError(f"order must be 3 or 4, got {order!r}")
+
+
 def annihilation_weights(freq: Frequency, order: int) -> np.ndarray:
     """Real taps of (1 - z)^(order - 2) (1 - 2 cos(w) z + z^2) for order 3
     or 4; weight k multiplies f(x - k).  The filter kills 1, cos(w x) and
     sin(w x), and for order 4 also x."""
-    c = math.cos(freq.omega0)
-    if order == 3:
-        return np.array([1.0, -1.0 - 2.0 * c, 1.0 + 2.0 * c, -1.0])
-    if order == 4:
-        return np.array([1.0, -2.0 - 2.0 * c, 2.0 + 4.0 * c, -2.0 - 2.0 * c, 1.0])
-    raise ValueError(f"order must be 3 or 4, got {order!r}")
+    return np.array(_taps(math.cos(freq.omega0), order))
 
 
-def _normalization(freq: Frequency) -> float:
-    """(w / (2 sin(w/2)))^2 = 1 / sinc^2(w/2), the partition-of-unity
-    normalizer; 1 at w = 0."""
-    r = 1.0 / sinc(0.5 * freq.omega0)
-    return r * r
+class _Constants(NamedTuple):
+    """The per-frequency constants of the float routes, each a float."""
+
+    normalization: float  # (w / (2 sin(w/2)))^2 = 1 / sinc^2(w/2); 1 at w = 0
+    cos_w: float          # builds the filter taps
+    handle: float         # (w - sin w) / (4 w sin^2(w/2)), half the handle
+                          # ratio; 1/6 at w = 0
+    mu: float             # (w/2) / tan(w/2) = cos(w/2) / sinc(w/2); 1 at w = 0
+    c: float              # the localization coefficients
+    c3: float
+    c4: float
+
+
+@lru_cache(maxsize=1024)
+def _constants(freq: Frequency) -> _Constants:
+    """The constants that ``bspline`` and ``phi_from_rho`` combine, computed
+    once per frequency: those routes take one float at a time, and most of
+    a call would otherwise go to rebuilding them."""
+    w = freq.omega0
+    u = 0.5 * w
+    half_sinc = sinc(u)
+    r = 1.0 / half_sinc
+    g1 = make_generators(freq).g1
+    return _Constants(
+        r * r, math.cos(w), 0.5 * conversion_ratio(freq),
+        math.cos(u) / half_sinc, g1.C, -g1.D,
+        4.0 * x_minus_sin_scaled(w) / (half_sinc * sin_minus_x_cos_scaled(u)),
+    )
 
 
 def _superfunction_terms(freq: Frequency, order: int) -> list[tuple[int, float, float]]:
     """(shift, phi1 weight, phi2 weight) triples expressing B_order as a
     short combination of generator shifts."""
     if order == 4:
-        # (w - sin w) / (4 w sin^2(w/2)), half the handle ratio; 1/6 at w = 0
-        g1 = 0.5 * conversion_ratio(freq)
+        g1 = _constants(freq).handle
         return [(1, g1, 0.5), (2, 1.0 - 2.0 * g1, 0.0), (3, g1, -0.5)]
     if order == 3:
-        # (w/2) / tan(w/2) = cos(w/2) / sinc(w/2); 1 at w = 0
-        u = 0.5 * freq.omega0
-        mu = math.cos(u) / sinc(u)
+        mu = _constants(freq).mu
         return [(1, 0.5, mu), (2, 0.5, -mu)]
     raise ValueError(f"order must be 3 or 4, got {order!r}")
 
@@ -96,9 +122,10 @@ def bspline(freq: Frequency, order: int, x, method: str = "green"):
     """
     if method == "green":
         which = 5 - order  # rho1 for order 4, rho2 for order 3
-        val = _normalization(freq) * sum(
+        constants = _constants(freq)
+        val = constants.normalization * sum(
             tap * rho(freq, which, x - k)
-            for k, tap in enumerate(annihilation_weights(freq, order).tolist())
+            for k, tap in enumerate(_taps(constants.cos_w, order))
         )
     elif method == "superfunction":
         val = 0.0
@@ -130,11 +157,8 @@ def _localization_coefficients(freq: Frequency) -> tuple[float, float, float]:
     the scaled coefficients C and -D of the generator g1, and c4 is taken
     as 4 S2(w) / (sinc(u) S3(u)) with S3(u) = (sin u - u cos u) / u^3 and
     S2(w) = (w - sin w) / w^3; (6, 12, 2) at w = 0."""
-    g1 = make_generators(freq).g1
-    w = freq.omega0
-    u = 0.5 * w
-    return (g1.C, -g1.D,
-            4.0 * x_minus_sin_scaled(w) / (sinc(u) * sin_minus_x_cos_scaled(u)))
+    constants = _constants(freq)
+    return constants.c, constants.c3, constants.c4
 
 
 def phi_from_rho(freq: Frequency, which: int, x):

@@ -313,7 +313,8 @@ def test_diagnostics_report_the_three_caches():
     from exphermite import diagnostics
 
     before = diagnostics()
-    assert set(before) == {"make_generators", "gram_entries", "bernstein_basis"}
+    assert set(before) == {"make_generators", "gram_entries", "bernstein_basis",
+                           "greens_constants"}
     for info in before.values():
         assert list(info) == ["currsize", "maxsize", "hits", "misses"]
         assert info["maxsize"] == 1024

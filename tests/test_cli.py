@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exphermite import (
+    ClosedHermiteCurve,
     CurveDocument,
     DocumentFormatError,
     DomainError,
@@ -535,6 +536,44 @@ def test_subdivide_invariant_violation_exit_three(tmp_path):
         )
     )
     assert main(["subdivide", str(wrong), "--levels", "1"]) == 3
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5, 4.0, True, False, "4", None])
+def test_render_svg_refuses_a_samples_per_span_that_is_not_a_count(samples):
+    # 2.5 on M = 3 used to draw 8 points off the span grid, True acted as 1
+    doc = CurveDocument.from_curve(unit_circle(3))
+    with pytest.raises(DomainError, match="samples_per_span"):
+        document.render_svg(doc, samples)
+    with pytest.raises(DomainError, match="samples_per_span"):
+        doc.curve().sample(samples)
+
+
+RENDER_FRACTIONS = [3, 5, 6, 7, 9, 10, 12, 24, 33, 48, 100]
+
+
+def test_render_svg_bytes_match_spline_eval_off_dyadic_fractions(monkeypatch):
+    """For an S that is not a power of two the drawing samples n + fl(k/S),
+    which differs from spline_eval's fl((nS + k)/S) in its low bits.  The
+    drawing prints six decimals, so a digit can move only for a pixel
+    coordinate within a few ulp of a rounding tie: on this seeded set none
+    does, and the bytes equal those of the drawing from spline_eval."""
+    rng = np.random.default_rng(2024)
+    docs = []
+    for _ in range(24):
+        m = int(rng.integers(3, 40))
+        matrix = rng.normal(size=(2, 2))
+        curve = unit_circle(m).affine(matrix, rng.normal(size=2))
+        if rng.random() < 0.5:   # off the ellipse as well
+            curve = ClosedHermiteCurve(curve.points + 0.1 * rng.normal(size=(m, 2)),
+                                       curve.tangents)
+        docs.append(CurveDocument.from_curve(curve))
+    samples = [(doc, s) for doc in docs for s in RENDER_FRACTIONS]
+    grid = [document.render_svg(doc, s, handles=True) for doc, s in samples]
+    monkeypatch.setattr(
+        ClosedHermiteCurve, "sample",
+        lambda self, s: self.eval(np.arange(self.period * s) / s)[0])
+    for (doc, s), got in zip(samples, grid):
+        assert got == document.render_svg(doc, s, handles=True), (doc.period, s)
 
 
 def test_render_svg_structure(tmp_path):

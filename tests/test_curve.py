@@ -19,6 +19,7 @@ from exphermite import (
     subdivide,
     unit_circle,
 )
+from exphermite.basis import spline_grid
 
 
 def test_eval_interpolates_control_data():
@@ -200,3 +201,43 @@ def test_fourth_order_accuracy():
     e16 = interpolation_error(0.0625)
     assert 12.0 < e4 / e8 < 20.0
     assert 12.0 < e8 / e16 < 20.0
+
+
+def random_curve(rng, m, scale):
+    """Control data uniform in (-0.4, 0.4) * scale, so that no jump between
+    neighbours overflows even at scale 1e308."""
+    return ClosedHermiteCurve(scale * rng.uniform(-0.4, 0.4, (m, 2)),
+                              scale * rng.uniform(-0.4, 0.4, (m, 2)))
+
+
+GRID_SCALES = [1e-300, 1e-150, 1.0, 1e150, 1e308]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 16, 64, 256])
+def test_sample_is_spline_eval_at_power_of_two_fractions(samples):
+    # n + k/S is fl((nS + k)/S) for a power-of-two S, so every bit agrees
+    rng = np.random.default_rng(samples)
+    for _ in range(12):
+        m = int(rng.integers(3, 65))
+        scale = float(rng.choice(GRID_SCALES)) * 10.0 ** rng.uniform(-3, 0)
+        curve = random_curve(rng, m, scale)
+        expected, _ = spline_eval(curve.freq, curve.to_hermite_data(),
+                                  np.arange(m * samples) / samples)
+        got = curve.sample(samples)
+        assert got.shape == (m * samples, 2)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 4, 32])
+def test_grid_on_open_and_scalar_data(samples):
+    # open data have the spans 0..L-2; scalar data keep the point shape ()
+    rng = np.random.default_rng(7)
+    freq = Frequency(0.9)
+    for shape, periodic in [((6,), False), ((6,), True), ((6, 3), False)]:
+        data = HermiteData(rng.normal(size=shape), rng.normal(size=shape),
+                           periodic=periodic)
+        spans = 6 if periodic else 5
+        expected, _ = spline_eval(freq, data, np.arange(spans * samples) / samples)
+        got = spline_grid(freq, data, samples)
+        assert got.shape == (spans * samples,) + shape[1:]
+        assert got.tobytes() == expected.tobytes()

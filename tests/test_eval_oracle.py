@@ -15,7 +15,9 @@ own piece coefficients, rounded from 80-digit arithmetic, so it shares no
 code with the package.  Both it and spline_eval are within ``ORACLE_EPS``
 eps of the data size of a 50-digit evaluation (measured 2.5 for both), and
 they agree within ``EVAL_EPS`` (measured 15) on random data.  A float x
-gives bitwise the entry of the array call.
+gives bitwise the entry of the array call.  The span grid of spline_grid
+meets the same ``ORACLE_EPS`` bound at fractions k/S that are not dyadic
+(measured 6.3, as for spline_eval at the same parameters).
 """
 
 import math
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 import exact
 from exphermite import Frequency, HermiteData, spline_eval
+from exphermite.basis import spline_grid
 from exphermite.frequency import (
     sin_minus_x_cos,
     sin_minus_x_cos_scaled,
@@ -238,4 +241,29 @@ def test_per_point_oracle_against_mpmath():
                         tuple(np.asarray(spline_eval(freq, data, x)).tolist())):
                 worst = max(worst, float(abs(got[0] - exact_value)),
                             float(abs(got[1] - exact_deriv)))
+    assert worst <= ORACLE_EPS * EPS * size
+
+
+def test_spline_grid_against_mpmath():
+    # fractions k/S that are not dyadic, where the grid's parameter
+    # n + fl(k/S) is not spline_eval's fl((nS + k)/S)
+    rng = np.random.default_rng(13)
+    data = HermiteData(rng.normal(size=4), rng.normal(size=4))
+    size = np.abs(data.values).max() + np.abs(data.derivs).max()
+    worst = 0.0
+    for w in (0.0, 1e-7, 0.5, math.pi):
+        freq = Frequency(w)
+        for samples in (3, 7, 100):
+            got = spline_grid(freq, data, samples)
+            fractions = (np.arange(samples) / samples).tolist()
+            for n in range(3):
+                v0, d0, v1, d1 = (float(a) for a in (
+                    data.values[n], data.derivs[n],
+                    data.values[n + 1], data.derivs[n + 1]))
+                for k, t in enumerate(fractions):
+                    t = mp.mpf(t)
+                    exact_value = (v0 * exact.phi(w, 1, t) + d0 * exact.phi(w, 2, t)
+                                   + v1 * exact.phi(w, 1, t - 1)
+                                   + d1 * exact.phi(w, 2, t - 1))
+                    worst = max(worst, float(abs(got[n * samples + k] - exact_value)))
     assert worst <= ORACLE_EPS * EPS * size
