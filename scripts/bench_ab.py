@@ -1,23 +1,27 @@
 """Paired A/B runs of the benchmark on two checkouts.
 
 Usage:
-    python scripts/bench_ab.py PARENT_DIR CHANGE_DIR --workload W \\
+    python scripts/bench_ab.py PARENT_DIR CHANGE_DIR --workload W[,W...]|all \\
         --seeds A-B --seconds S [--record N]
 
-For every seed in A..B, runs each checkout's own ``perfbench/run.py`` once
-(``--trace 0``), alternating which side goes first: parent first on the
-first seed, change first on the next, and so on.  The whole machine drifts
-between runs, so only pairs run back to back are compared.
+For every workload named (``all``: every workload of ``BENCHMARK.json``, in
+its order) and every seed in A..B, runs each checkout's own
+``perfbench/run.py`` once (``--trace 0``), alternating which side goes
+first: parent first on the first seed, change first on the next, and so on.
+The whole machine drifts between runs, so only pairs run back to back are
+compared.  Each run prints its items_per_s and latency_p50_ms to stderr;
+verify runs at two timing levels on some machines, and the p50 shows which.
 
-Prints, for every end-to-end metric, each side's median and quartiles, the
-median over pairs of change / parent and the number of pairs the change won
-(ties count for neither side).  A metric whose parent runs spread from min
-to max by more than its ``BENCHMARK.json`` bound, relative to their median,
-is marked ``unresolved``: on that box a change within the bound cannot be
-told from the parent's own drift.  With ``--record N`` it also writes
-``BENCH_<N>_<sha7>.json`` to the current directory, named after the commit
-CHANGE_DIR has checked out: every run's metrics, the summary and the machine
-facts.  An A/A run (the same directory twice) checks the tool itself.
+Prints per workload, for every end-to-end metric, each side's median and
+quartiles, the median over pairs of change / parent and the number of pairs
+the change won (ties count for neither side).  A metric whose parent runs
+spread from min to max by more than its ``BENCHMARK.json`` bound, relative
+to their median, is marked ``unresolved``: on that box a change within the
+bound cannot be told from the parent's own drift.  With ``--record N`` (one
+workload only) it also writes ``BENCH_<N>_<sha7>.json`` to the current
+directory, named after the commit CHANGE_DIR has checked out: every run's
+metrics, the summary and the machine facts.  An A/A run (the same directory
+twice) checks the tool itself.
 
 Exit codes: 0 done, 1 a benchmark run failed, 2 bad arguments.
 """
@@ -158,11 +162,68 @@ def print_summary(workload: str, seeds: list[int], seconds: float,
                   f"> bound {s['bound']:g}")
 
 
+def parse_workloads(text: str, names: list[str]) -> list[str]:
+    """The workloads of a comma-separated list, or all of them for "all"."""
+    if text == "all":
+        return list(names)
+    chosen = text.split(",")
+    unknown = [name for name in chosen if name not in names]
+    if unknown:
+        raise ValueError(f"unknown workload {unknown[0]!r}; pick from {names} or 'all'")
+    return chosen
+
+
+def run_pairs(roots: dict, workload: str, seeds: list[int], seconds: float) -> list[dict]:
+    """One pair of runs per seed, alternating which side goes first."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            try:
+                pair[side] = run_once(roots[side], workload, seed, seconds)
+            except (RuntimeError, subprocess.SubprocessError, OSError,
+                    ValueError, StopIteration) as exc:
+                raise RuntimeError(f"{workload} {side} run at seed {seed} "
+                                   f"failed: {exc}") from exc
+            metrics = pair[side]["metrics"]
+            print(f"{workload} seed {seed} {side}: items_per_s = "
+                  f"{metrics['items_per_s']:.6g}, latency_p50_ms = "
+                  f"{metrics['latency_p50_ms']:.4g}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
+def write_record(number: int, workload: str, args, roots: dict, same_benchmark: bool,
+                 pairs: list[dict], summary: dict) -> None:
+    states = {side: git_state(root) for side, root in roots.items()}
+    sha7 = (states["change"]["head"] or "nogit")[:7]
+    out = {
+        "record": number, "workload": workload,
+        "seeds": args.seeds, "seconds": args.seconds,
+        "same_benchmark": same_benchmark,
+        "parent": states["parent"], "change": states["change"],
+        "machine": machine_facts(pairs[0]["parent"]["record"]),
+        "summary": summary,
+        "runs": [{"seed": p["seed"], "first": p["first"],
+                  **{side: {k: p[side][k] for k in ("metrics", "attempted",
+                                                   "failed")}
+                     for side in ("parent", "change")}}
+                 for p in pairs],
+    }
+    path = f"BENCH_{number}_{sha7}.json"
+    with open(path, "w") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list of them, or all")
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--record", type=int, metavar="N")
@@ -172,58 +233,34 @@ def main(argv=None) -> int:
 
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    if args.workload not in [w["name"] for w in bench["workloads"]]:
-        parser.error(f"unknown workload {args.workload!r}")
+    try:
+        workloads = parse_workloads(args.workload,
+                                    [w["name"] for w in bench["workloads"]])
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.record is not None and len(workloads) != 1:
+        parser.error("--record takes exactly one workload")
     same_benchmark = (benchmark_files(roots["parent"])
                       == benchmark_files(roots["change"]))
     if not same_benchmark:
         print("warning: BENCHMARK.json or perfbench/ differ between the sides",
               file=sys.stderr)
 
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            try:
-                pair[side] = run_once(roots[side], args.workload, seed, args.seconds)
-            except (RuntimeError, subprocess.SubprocessError, OSError,
-                    ValueError, StopIteration) as exc:
-                print(f"error: {side} run at seed {seed} failed: {exc}",
-                      file=sys.stderr)
-                return 1
-            print(f"seed {seed} {side}: items_per_s = "
-                  f"{pair[side]['metrics']['items_per_s']:.6g}", file=sys.stderr)
-        pairs.append(pair)
-
-    summary = summarize(pairs, bench["end_to_end"])
-    print_summary(args.workload, args.seeds, args.seconds, summary)
-    for side in ("parent", "change"):
-        failed = sum(p[side]["failed"] for p in pairs)
-        attempted = sum(p[side]["attempted"] for p in pairs)
-        print(f"{side}: {failed} of {attempted} ops failed")
-
-    if args.record is not None:
-        states = {side: git_state(root) for side, root in roots.items()}
-        sha7 = (states["change"]["head"] or "nogit")[:7]
-        out = {
-            "record": args.record, "workload": args.workload,
-            "seeds": args.seeds, "seconds": args.seconds,
-            "same_benchmark": same_benchmark,
-            "parent": states["parent"], "change": states["change"],
-            "machine": machine_facts(pairs[0]["parent"]["record"]),
-            "summary": summary,
-            "runs": [{"seed": p["seed"], "first": p["first"],
-                      **{side: {k: p[side][k] for k in ("metrics", "attempted",
-                                                       "failed")}
-                         for side in ("parent", "change")}}
-                     for p in pairs],
-        }
-        path = f"BENCH_{args.record}_{sha7}.json"
-        with open(path, "w") as fh:
-            json.dump(out, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {path}")
+    for workload in workloads:
+        try:
+            pairs = run_pairs(roots, workload, args.seeds, args.seconds)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        summary = summarize(pairs, bench["end_to_end"])
+        print_summary(workload, args.seeds, args.seconds, summary)
+        for side in ("parent", "change"):
+            failed = sum(p[side]["failed"] for p in pairs)
+            attempted = sum(p[side]["attempted"] for p in pairs)
+            print(f"{side}: {failed} of {attempted} ops failed")
+        if args.record is not None:
+            write_record(args.record, workload, args, roots, same_benchmark,
+                         pairs, summary)
     return 0
 
 

@@ -45,7 +45,7 @@ def piece_kernels(freq: Frequency, x):
     return _k1(freq, x), _k2(freq, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class E4Piece:
     """One segment on [0, 1] of the four-dimensional family
     span{1, x, cos(w x), sin(w x)}, stored as its value and slope at x = 0
@@ -93,7 +93,7 @@ class E4Piece:
                        self.C * w * w * sw - self.D * cw, self.freq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorPair:
     """Restrictions of phi1 and phi2 to [0, 1], and their derivatives; the
     negative side follows by the even/odd extension."""
@@ -149,8 +149,9 @@ def make_generators(freq: Frequency) -> GeneratorPair:
 
 
 def _check_which(which: int) -> None:
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
+    """ValueError unless which is the int 1 or 2 (a bool is not an index)."""
+    if type(which) is not int or which not in (1, 2):
+        raise ValueError(f"which must be the int 1 or 2, got {which!r}")
 
 
 def _extend(even: E4Piece, odd: E4Piece, x):
@@ -223,7 +224,9 @@ class HermiteData:
     def index(self, n) -> np.ndarray:
         """Sample indices of the integral grid positions n (any shape),
         wrapped modulo the length when periodic; IndexError outside
-        0..len-1 otherwise."""
+        0..len-1 otherwise.  A periodic int is wrapped without numpy."""
+        if self.periodic and type(n) is int:
+            return n % len(self)
         n = np.asarray(n).astype(np.intp)
         if self.periodic:
             return n % len(self)
@@ -261,6 +264,41 @@ def _points_last(array, point_ndim: int):
     return np.moveaxis(array, coords, range(-point_ndim, 0))[()]
 
 
+def _spline_at(freq: Frequency, data: HermiteData, x, deriv: bool):
+    """The spline of ``spline_eval`` at x, coordinates first, and with
+    ``deriv`` its derivative as well: (value, derivative or None).
+
+    x is a finite array, or a finite float, which runs the float kernels
+    and gives the point shape (the float lane of
+    ``ClosedHermiteCurve.eval``).  The values alone form no derivative
+    terms (``reproduction_errors``).
+    """
+    if isinstance(x, np.ndarray):
+        n0, n1 = np.floor(x), np.ceil(x)
+    else:
+        n0, n1 = math.floor(x), math.ceil(x)
+    t = x - n0
+    i0, i1 = data.index(n0), data.index(n1)
+    # coordinates first, so the weights, shaped like x, broadcast against them
+    values, derivs = data.values.T, data.derivs.T
+    v0, d0 = values[..., i0], derivs[..., i0]
+    v1, d1 = values[..., i1], derivs[..., i1]
+    pair = make_generators(freq)
+    t1 = 1.0 - t
+    # one kernel pair per argument, shared by the pieces evaluated there
+    k0, k1 = piece_kernels(freq, t), piece_kernels(freq, t1)
+    value = _span_values(pair, t, k0, k1, v0, v1, d0, d1)
+    if not deriv:
+        return value, None
+    # g1'(t) = g1'(1 - t), so the slope terms of the values are
+    # (v0 - v1) g1'(1 - t)
+    slope = (
+        d0 * pair.dg2.at(t, k0) + d1 * pair.dg2.at(t1, k1)
+        - (v1 - v0) * pair.dg1.at(t1, k1)
+    )
+    return value, np.where(t == 0.0, d0, slope)
+
+
 def spline_eval(freq: Frequency, data: HermiteData, x):
     """Evaluate sum_n (s(n) phi1(x-n) + s'(n) phi2(x-n)) and its derivative
     at a float or at every entry of an array of x.
@@ -273,27 +311,9 @@ def spline_eval(freq: Frequency, data: HermiteData, x):
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("evaluation points must be finite")
-    n0 = np.floor(x)
-    t = x - n0
-    i0, i1 = data.index(n0), data.index(np.ceil(x))
-    # coordinates first, so the weights, shaped like x, broadcast against them
-    values, derivs = data.values.T, data.derivs.T
-    v0, d0 = values[..., i0], derivs[..., i0]
-    v1, d1 = values[..., i1], derivs[..., i1]
-    pair = make_generators(freq)
-    t1 = 1.0 - t
-    # one kernel pair per argument, shared by the pieces evaluated there
-    k0, k1 = piece_kernels(freq, t), piece_kernels(freq, t1)
-    value = _span_values(pair, t, k0, k1, v0, v1, d0, d1)
-    # g1'(t) = g1'(1 - t), so the slope terms of the values are
-    # (v0 - v1) g1'(1 - t)
-    deriv = (
-        d0 * pair.dg2.at(t, k0) + d1 * pair.dg2.at(t1, k1)
-        - (v1 - v0) * pair.dg1.at(t1, k1)
-    )
+    value, deriv = _spline_at(freq, data, x, deriv=True)
     point_ndim = data.values.ndim - 1
-    return (_points_last(value, point_ndim),
-            _points_last(np.where(t == 0.0, d0, deriv), point_ndim))
+    return _points_last(value, point_ndim), _points_last(deriv, point_ndim)
 
 
 def spline_grid(freq: Frequency, data: HermiteData, samples_per_span: int):

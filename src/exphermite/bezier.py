@@ -11,6 +11,7 @@ from the segment endpoints; the offset ratio lam(w) plays the role that
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,10 +64,12 @@ def bernstein_basis(freq: Frequency) -> tuple[E4Piece, E4Piece, E4Piece, E4Piece
 
 def bernstein(freq: Frequency, ell: int, x):
     """Evaluate the ell-th Bernstein piece at x in [0, 1], a float or an
-    array."""
-    if ell not in (0, 1, 2, 3):
-        raise ValueError(f"ell must be in 0..3, got {ell!r}")
-    if not np.all((0.0 <= x) & (x <= 1.0)):
+    array.  ell must be an int (a bool is not an index)."""
+    if type(ell) is not int or ell not in (0, 1, 2, 3):
+        raise ValueError(f"ell must be an int in 0..3, got {ell!r}")
+    inside = (np.all((0.0 <= x) & (x <= 1.0)) if isinstance(x, np.ndarray)
+              else 0.0 <= x <= 1.0)
+    if not inside:
         raise DomainError(f"bernstein argument must lie in [0, 1], got {x!r}")
     return bernstein_basis(freq)[ell].value(x)
 
@@ -85,14 +88,15 @@ class BezierSegment:
 
     def value(self, t):
         """The segment at local parameter t, a float or an array; control
-        points of shape s give results of shape t.shape + s."""
+        points of shape s give results of shape t.shape + s.  A float t
+        has float weights, which multiply the control points directly, so
+        float control points give a float."""
         kernels = piece_kernels(self.freq, t)
-        b0, b1, b2, b3 = (piece.at(t, kernels)
-                          for piece in bernstein_basis(self.freq))
-        return (
-            np.multiply.outer(b0, self.p0) + np.multiply.outer(b1, self.p1)
-            + np.multiply.outer(b2, self.p2) + np.multiply.outer(b3, self.p3)
-        )
+        b0, b1, b2, b3 = [piece.at(t, kernels)
+                          for piece in bernstein_basis(self.freq)]
+        mul = np.multiply.outer if isinstance(t, np.ndarray) else operator.mul
+        return (mul(b0, self.p0) + mul(b1, self.p1)
+                + mul(b2, self.p2) + mul(b3, self.p3))
 
 
 def hermite_to_bezier(

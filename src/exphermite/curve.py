@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import HermiteData, spline_eval, spline_grid
+from .basis import HermiteData, _spline_at, spline_eval, spline_grid
 from .frequency import DomainError, Frequency
 
 
@@ -57,7 +57,11 @@ class ClosedHermiteCurve:
 
     def eval(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Point and tangent at parameter t (wrapped modulo the period); an
-        array of n parameters gives (n, 2) points and tangents."""
+        array of n parameters gives (n, 2) points and tangents.  A finite
+        float is wrapped with Python's %, which rounds as np.mod does, and
+        runs the float kernels: bitwise the entry of the array call."""
+        if isinstance(t, float) and math.isfinite(t):
+            return _spline_at(self.freq, self._data, t % self.period, deriv=True)
         value, deriv = spline_eval(self.freq, self._data, np.mod(t, self.period))
         return np.asarray(value), np.asarray(deriv)
 
@@ -120,9 +124,10 @@ def reproduction_errors(freq: Frequency, targets) -> list[float]:
     data = HermiteData(np.column_stack([f(w, ns) for f, _ in pairs]),
                        np.column_stack([df(w, ns) for _, df in pairs]))
     xs = np.linspace(-_CHECK_LIMIT, _CHECK_LIMIT, _CHECK_COUNT)
-    value, _ = spline_eval(freq, data, xs + _WINDOW)
-    exact = np.column_stack([f(w, xs) for f, _ in pairs])
-    return np.max(np.abs(value - exact), axis=0).tolist()
+    # the values of spline_eval, one row per target, without derivatives
+    value, _ = _spline_at(freq, data, xs + _WINDOW, deriv=False)
+    exact = np.stack([f(w, xs) for f, _ in pairs])
+    return np.max(np.abs(value - exact), axis=1).tolist()
 
 
 def reproduction_check(freq: Frequency, target: str) -> float:

@@ -59,6 +59,16 @@ class Frequency:
             )
         return Frequency(w)
 
+    # Keyed by omega0 alone: every per-frequency cache hashes its key, and
+    # the generated methods would build a one-field tuple on each lookup.
+    def __eq__(self, other):
+        if isinstance(other, Frequency):
+            return self.omega0 == other.omega0
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.omega0)
+
 
 def _trig(np_fn, libm_fn):
     """np_fn of an array; libm_fn of a float, so a float stays a Python
@@ -79,9 +89,9 @@ _cos = _trig(np.cos, math.cos)
 
 
 def _horner(coeffs, t2):
-    """sum_k c_k t2^k for ``coeffs`` = (c_n, ..., c_0)."""
-    total = coeffs[0]
-    for coeff in coeffs[1:]:
+    """sum_k c_k t2^k for ``coeffs`` = (c_n, (c_(n-1), ..., c_0))."""
+    total, rest = coeffs
+    for coeff in rest:
         total = total * t2 + coeff
     return total
 
@@ -125,10 +135,12 @@ def _stable(t, coeffs, direct, scaled=False):
 
 
 def _series(numerator):
-    """Horner coefficients (c_n, ..., c_0) of sum_k (-1)^k numerator(k) /
-    (2k + 3)! t^(2k), each rounded once."""
-    return tuple((-1) ** k * numerator(k) / factorial(2 * k + 3)
-                 for k in reversed(range(_SERIES_TERMS)))
+    """Horner coefficients (c_n, (c_(n-1), ..., c_0)) of sum_k (-1)^k
+    numerator(k) / (2k + 3)! t^(2k), each rounded once; the leading one
+    apart, so that ``_horner`` takes no slice."""
+    lead, *rest = ((-1) ** k * numerator(k) / factorial(2 * k + 3)
+                   for k in reversed(range(_SERIES_TERMS)))
+    return lead, tuple(rest)
 
 
 # (t - sin t) / t^3 = 1/3! - t^2/5! + t^4/7! - ...
@@ -178,7 +190,8 @@ def sin_over(a, x):
     precision for every |x| < 2^400, so the floor changes no result there;
     it keeps the quotient clear of 0 / 0 at a = 0.
     """
-    a = max(a, _FLOOR)
+    if a < _FLOOR:
+        a = _FLOOR
     return _sin(a * x) / a
 
 

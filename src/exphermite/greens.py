@@ -69,13 +69,13 @@ def annihilation_weights(freq: Frequency, order: int) -> np.ndarray:
 
 
 class _Constants(NamedTuple):
-    """The per-frequency constants of the float routes, each a float."""
+    """The per-frequency constants of the float routes."""
 
     normalization: float  # (w / (2 sin(w/2)))^2 = 1 / sinc^2(w/2); 1 at w = 0
-    cos_w: float          # builds the filter taps
-    handle: float         # (w - sin w) / (4 w sin^2(w/2)), half the handle
-                          # ratio; 1/6 at w = 0
-    mu: float             # (w/2) / tan(w/2) = cos(w/2) / sinc(w/2); 1 at w = 0
+    taps3: tuple          # the taps of annihilation_weights, order 3
+    taps4: tuple          # and order 4
+    terms3: tuple         # the superfunction terms, order 3
+    terms4: tuple         # and order 4
     c: float              # the localization coefficients
     c3: float
     c4: float
@@ -85,29 +85,43 @@ class _Constants(NamedTuple):
 def _constants(freq: Frequency) -> _Constants:
     """The constants that ``bspline`` and ``phi_from_rho`` combine, computed
     once per frequency: those routes take one float at a time, and most of
-    a call would otherwise go to rebuilding them."""
+    a call would otherwise go to rebuilding them.
+
+    The superfunction terms are (shift, phi1 weight, phi2 weight) triples
+    expressing B_order as a short combination of generator shifts, built
+    from half the handle ratio, (w - sin w) / (4 w sin^2(w/2)) (1/6 at
+    w = 0), and mu = (w/2) / tan(w/2) = cos(w/2) / sinc(w/2) (1 at w = 0).
+    """
     w = freq.omega0
     u = 0.5 * w
     half_sinc = sinc(u)
     r = 1.0 / half_sinc
+    cos_w = math.cos(w)
+    handle = 0.5 * conversion_ratio(freq)
+    mu = math.cos(u) / half_sinc
     g1 = make_generators(freq).g1
     return _Constants(
-        r * r, math.cos(w), 0.5 * conversion_ratio(freq),
-        math.cos(u) / half_sinc, g1.C, -g1.D,
+        r * r, _taps(cos_w, 3), _taps(cos_w, 4),
+        ((1, 0.5, mu), (2, 0.5, -mu)),
+        ((1, handle, 0.5), (2, 1.0 - 2.0 * handle, 0.0), (3, handle, -0.5)),
+        g1.C, -g1.D,
         4.0 * x_minus_sin_scaled(w) / (half_sinc * sin_minus_x_cos_scaled(u)),
     )
 
 
-def _superfunction_terms(freq: Frequency, order: int) -> list[tuple[int, float, float]]:
+def _by_order(order: int, entry3, entry4):
+    """entry3 or entry4 by the order; ValueError unless it is the int 3 or
+    4."""
+    if type(order) is not int or order not in (3, 4):
+        raise ValueError(f"order must be 3 or 4, got {order!r}")
+    return entry4 if order == 4 else entry3
+
+
+def _superfunction_terms(freq: Frequency, order: int):
     """(shift, phi1 weight, phi2 weight) triples expressing B_order as a
     short combination of generator shifts."""
-    if order == 4:
-        g1 = _constants(freq).handle
-        return [(1, g1, 0.5), (2, 1.0 - 2.0 * g1, 0.0), (3, g1, -0.5)]
-    if order == 3:
-        mu = _constants(freq).mu
-        return [(1, 0.5, mu), (2, 0.5, -mu)]
-    raise ValueError(f"order must be 3 or 4, got {order!r}")
+    constants = _constants(freq)
+    return _by_order(order, constants.terms3, constants.terms4)
 
 
 def bspline(freq: Frequency, order: int, x, method: str = "green"):
@@ -117,16 +131,17 @@ def bspline(freq: Frequency, order: int, x, method: str = "green"):
     method="green": normalization times the annihilation filter applied to
     the matching Green's function (rho1 for order 4, rho2 for order 3).
     method="superfunction": the short combination of shifted generators.
-    The two agree pointwise.  An order other than 3 or 4 is refused by the
-    filter or the superfunction terms before any point is evaluated.
+    The two agree pointwise.  An order other than the int 3 or 4 is refused
+    before any point is evaluated.
     """
     if method == "green":
-        which = 5 - order  # rho1 for order 4, rho2 for order 3
         constants = _constants(freq)
-        val = constants.normalization * sum(
-            tap * rho(freq, which, x - k)
-            for k, tap in enumerate(_taps(constants.cos_w, order))
-        )
+        taps = _by_order(order, constants.taps3, constants.taps4)
+        which = 5 - order  # rho1 for order 4, rho2 for order 3
+        total = 0.0
+        for k, tap in enumerate(taps):
+            total = total + tap * rho(freq, which, x - k)
+        val = constants.normalization * total
     elif method == "superfunction":
         val = 0.0
         for n, w1, w2 in _superfunction_terms(freq, order):
@@ -141,6 +156,7 @@ def rho_from_phi(freq: Frequency, which: int, x):
     """Reproduce rho1 or rho2 through the Hermite expansion: the expansion
     coefficients are the integer samples (rho(n), rho'(n)), and only the two
     shifts n = floor(x), floor(x) + 1 bracketing x contribute."""
+    _check_which(which)
     n0 = x // 1.0  # floor(x); a float stays a float
     t = x - n0
     total = 0.0
@@ -177,9 +193,10 @@ def phi_from_rho(freq: Frequency, which: int, x):
     """
     _check_which(which)
     c, c3, c4 = _localization_coefficients(freq)
-    shifts = (x + 1.0, x, x - 1.0)
-    p1, q1, m1 = (rho(freq, 1, y) for y in shifts)
-    p2, q2, m2 = (rho(freq, 2, y) for y in shifts)
+    # each identity needs five of the six shifts: rho_which at x as well
+    p1, m1 = rho(freq, 1, x + 1.0), rho(freq, 1, x - 1.0)
+    p2, m2 = rho(freq, 2, x + 1.0), rho(freq, 2, x - 1.0)
     if which == 1:
-        return c * (p2 - m2) - c3 * (p1 - 2.0 * q1 + m1)
+        return c * (p2 - m2) - c3 * (p1 - 2.0 * rho(freq, 1, x) + m1)
+    q2 = rho(freq, 2, x)
     return c * (p1 - m1 - 2.0 * q2) - c4 * (p2 - 2.0 * q2 + m2)

@@ -452,3 +452,61 @@ def test_spline_eval_missing_samples():
         spline_eval(f, data, 2.5)
     with pytest.raises(IndexError):
         spline_eval(f, data, -0.5)
+
+
+def test_frequency_is_keyed_by_its_float():
+    from exphermite import bernstein_basis, diagnostics
+    from exphermite.greens import _constants
+
+    assert Frequency(0.0) == Frequency(-0.0)
+    assert hash(Frequency(0.0)) == hash(Frequency(-0.0))
+    assert Frequency(0.5) == Frequency(0.5) and Frequency(0.5) != Frequency(0.25)
+    assert Frequency(0.5) != 0.5 and 0.5 != Frequency(0.5)
+    assert Frequency(0.5).__eq__(0.5) is NotImplemented
+    assert len({Frequency(0.3), Frequency(0.3), Frequency(0.2)}) == 2
+    # equal frequencies share one entry of every per-frequency cache
+    w = 1.0 + 0.5 ** 41   # no other test uses this frequency
+    before = diagnostics()
+    for cached in (make_generators, bernstein_basis, _constants):
+        assert cached(Frequency(w)) is cached(Frequency(w))
+    after = diagnostics()
+    for name in ("make_generators", "bernstein_basis", "greens_constants"):
+        assert after[name]["misses"] == before[name]["misses"] + 1, name
+        assert after[name]["hits"] >= before[name]["hits"] + 1, name
+
+
+BAD_INDICES = [True, False, 1.0, 2.0, "1", 3, 0, None]
+
+
+@pytest.mark.parametrize("which", BAD_INDICES, ids=repr)
+def test_which_must_be_the_int_1_or_2(which):
+    # a bool or a float used to pass the check and then either index a
+    # tuple (TypeError) or act as 1 or 2
+    from exphermite import phi_from_rho, rho, rho_from_phi
+
+    f = Frequency(0.7)
+    for name, fn in (("phi", phi), ("phi_deriv", phi_deriv), ("rho", rho),
+                     ("rho_from_phi", rho_from_phi),
+                     ("phi_from_rho", phi_from_rho)):
+        for x in (0.3, np.array([0.3, -1.2])):
+            with pytest.raises(ValueError, match="which must be the int 1 or 2"):
+                fn(f, which, x)
+
+
+@pytest.mark.parametrize("ell", [True, False, 1.0, "1", 4, -1, None], ids=repr)
+def test_bernstein_index_must_be_an_int_in_0_to_3(ell):
+    from exphermite import bernstein
+
+    for x in (0.3, np.array([0.3, 0.6])):
+        with pytest.raises(ValueError, match="ell must be an int in 0..3"):
+            bernstein(Frequency(0.7), ell, x)
+    assert bernstein(Frequency(0.7), 3, 0.3) > 0.0
+
+
+@pytest.mark.parametrize("order", [True, 3.0, 4.0, "4", 5])
+@pytest.mark.parametrize("method", ["green", "superfunction"])
+def test_bspline_order_must_be_the_int_3_or_4(order, method):
+    from exphermite import bspline
+
+    with pytest.raises(ValueError, match="order must be 3 or 4"):
+        bspline(Frequency(0.7), order, 1.5, method)

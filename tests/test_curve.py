@@ -158,6 +158,27 @@ def test_batched_reproduction_matches_one_target_at_a_time():
         assert errors[1:3] == reproduction_errors(freq, ("linear", "cos"))
 
 
+def test_values_only_reproduction_is_the_spline_eval_sup_error_bitwise():
+    # reproduction_errors forms no derivatives; spline_eval, which does, is
+    # the oracle for every bit of the maxima
+    targets = {
+        "const": (lambda w, x: np.ones_like(x), lambda w, x: np.zeros_like(x)),
+        "linear": (lambda w, x: x, lambda w, x: np.ones_like(x)),
+        "cos": (lambda w, x: np.cos(w * x), lambda w, x: -w * np.sin(w * x)),
+        "sin": (lambda w, x: np.sin(w * x), lambda w, x: w * np.cos(w * x)),
+    }
+    rng = np.random.default_rng(24)
+    omegas = [0.0, 5e-324, 1e-7, 1e-5, 0.7, 3 * math.pi / 4, math.pi,
+              *np.exp(rng.uniform(math.log(1e-7), math.log(math.pi), 12))]
+    for w0 in omegas:
+        freq = Frequency(float(w0))
+        got = reproduction_errors(freq, list(targets))
+        want = [reproduction_error_one_target(freq, *pair)
+                for pair in targets.values()]
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64)), w0
+
+
 def test_reproduction_rejects_unknown_target():
     with pytest.raises(ValueError):
         reproduction_check(Frequency(1.0), "tan")
@@ -241,3 +262,26 @@ def test_grid_on_open_and_scalar_data(samples):
         got = spline_grid(freq, data, samples)
         assert got.shape == (spans * samples,) + shape[1:]
         assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("period", [3, 5, 8, 17])
+def test_eval_at_a_float_is_the_lane_of_the_array_call(period):
+    # a float runs the float kernels and Python's %; each result must be
+    # the bits of its lane in the array call, and an array, never a scalar
+    rng = np.random.default_rng(period)
+    curve = unit_circle(period).affine(rng.normal(size=(2, 2)), rng.normal(size=2))
+    ts = [0.0, -0.0, 0.5, 1.0, float(period), float(period) - 2.0 ** -50,
+          -1e-20, -3.25, 5e-324, 2.0 ** 60 + 2.0 ** 10, 1e6 + 0.1,
+          *rng.uniform(-4 * period, 4 * period, 200).tolist()]
+    points, tangents = curve.eval(np.array(ts))
+    for i, t in enumerate(ts):
+        point, tangent = curve.eval(t)
+        for got, lane in ((point, points[i]), (tangent, tangents[i])):
+            assert type(got) is np.ndarray and got.shape == (2,)
+            assert np.array_equal(got.view(np.uint64), lane.view(np.uint64)), t
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_eval_refuses_a_non_finite_float(t):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        unit_circle(5).eval(t)

@@ -16,10 +16,12 @@ import pytest
 
 from exphermite import (
     Frequency,
+    bernstein,
     bernstein_basis,
     bspline,
     conversion_ratio,
     endpoint_slope,
+    hermite_to_bezier,
     make_generators,
     phi,
     phi_deriv,
@@ -163,3 +165,48 @@ def test_non_finite_floats_give_what_the_array_lane_gives(name):
         got = fn(t)
         assert type(got) is float
         assert got == expected or (math.isnan(got) and math.isnan(expected)), t
+
+
+UNIT_POINTS = [0.0, -0.0, 5e-324, 1e-300, 0.125, 0.3, 0.5, 0.7, 0.9,
+               1.0 - 2.0 ** -53, 1.0]
+
+
+@pytest.mark.parametrize("w0", OMEGAS)
+def test_bezier_value_at_a_float_is_the_lane_of_the_array_call(w0):
+    # a float t has float weights, which multiply the control values
+    # directly: float controls give a Python float, point controls an array
+    f = Frequency(w0)
+    rng = np.random.default_rng(24)
+    controls = {"float": (0.3, -1.2, 0.9, 0.4),
+                "2-D": tuple(rng.normal(size=(4, 2))),
+                "3-D": tuple(rng.normal(size=(4, 3)))}
+    ts = np.array(UNIT_POINTS)
+    for name, (f0, d0, f1, d1) in controls.items():
+        segment = hermite_to_bezier(f, 1.0, f0, d0, f1, d1)
+        lane = segment.value(ts)
+        for i, t in enumerate(UNIT_POINTS):
+            got = segment.value(t)
+            if name == "float":
+                assert type(got) is float, (name, t)
+            else:
+                assert type(got) is np.ndarray and got.shape == lane.shape[1:]
+            assert np.array_equal(bits(got), bits(lane[i])), (w0, name, t)
+
+
+@pytest.mark.parametrize("w0", OMEGAS)
+def test_bernstein_at_a_float_is_the_lane_of_the_array_call(w0):
+    f = Frequency(w0)
+    for ell in range(4):
+        lane = bernstein(f, ell, np.array(UNIT_POINTS))
+        floats = [bernstein(f, ell, x) for x in UNIT_POINTS]
+        assert all(type(value) is float for value in floats)
+        assert np.array_equal(bits(floats), bits(lane)), (w0, ell)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-300, 1.0 + 2.0 ** -52])
+def test_bernstein_refuses_a_float_outside_the_unit_interval(x):
+    from exphermite import DomainError
+
+    for argument in (x, np.array([0.5, x])):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            bernstein(Frequency(0.7), 1, argument)

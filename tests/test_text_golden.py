@@ -8,7 +8,10 @@ which moved its control points by at most 8.9e-16.  The eight subdivide and
 four basis digests were re-pinned when every frequency moved onto one
 evaluation path (scaled-kernel pieces, Horner-form series), which moved
 their numbers by at most 1.8e-15; the render digests, printed with fewer
-digits, did not move.  The input documents are
+digits, did not move.  The four ``verify --suite all`` digests were pinned from
+commit 415e209, before the float routes of ``bezier``, ``greens`` and
+``curve.reproduction_errors`` were reworked, which must change no byte of
+that report.  The input documents are
 written here with ``json.dumps``, so they do not depend on the serializer
 under test; one of them holds negative zeros, which the writers print as 0.
 """
@@ -125,3 +128,18 @@ def test_cli_output_bytes_match_golden(tmp_path, capsys, case):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[case]
 
+
+
+VERIFY_GOLDEN = {
+    "0": "ebc9d750d832b3b120fc6306a8a5bb20f5529920f326dea18504cb89157d47d2",
+    "1e-5": "c4a940b63ee2aac2ebfca88c2845877e4398775fdf3e101bb01460856810041a",
+    "3pi/4": "0baad17723c58278065a7e78a89fe06f7f546adf62a8f3bf6753ce15a71c1477",
+    "pi": "f77dbde8ea3e50d3db893b6cf944599fcb24c14e19b3a72258c67feca2e95ab0",
+}
+
+
+@pytest.mark.parametrize("omega0", VERIFY_GOLDEN)
+def test_verify_report_bytes_match_golden(capsys, omega0):
+    assert main(["verify", "--suite", "all", "--omega0", omega0]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_GOLDEN[omega0]
