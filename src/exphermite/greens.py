@@ -193,7 +193,7 @@ def phi_from_rho(freq: Frequency, which: int, x):
     """
     _check_which(which)
     c, c3, c4 = _localization_coefficients(freq)
-    # each identity needs five of the six shifts: rho_which at x as well
+    # both identities use rho1 and rho2 at x +- 1, and only rho_which at x
     p1, m1 = rho(freq, 1, x + 1.0), rho(freq, 1, x - 1.0)
     p2, m2 = rho(freq, 2, x + 1.0), rho(freq, 2, x - 1.0)
     if which == 1:
