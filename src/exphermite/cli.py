@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import __version__
-from .basis import _k1, phi, phi_deriv, phi_pair
+from .basis import HermiteData, _k1, phi, phi_deriv, phi_pair
 from .curve import reproduction_errors
 from .document import (
     CurveDocument,
@@ -34,10 +34,10 @@ from .document import (
 from .frequency import DomainError, Frequency, sin_over
 from .gram import det_scan_min, gram_entries, lower_bound_G, riesz_bounds
 from .subdivision import (
-    _insert,
     check_node_budget,
     hermite_to_scalar,
     masks,
+    refine_step,
     scalar_refine_step,
     subdivide,
 )
@@ -188,18 +188,22 @@ def _suite_masks(freq: Frequency) -> list[dict]:
     # exact midpoint, on cos(w x), sin(w x) and the scaled pair sin(w x)/w,
     # (1 - cos(w x))/w^2, which tend to x and x^2/2 and so keep the check
     # live at w = 0; derivative errors scaled by h, the error model of
-    # refine_step.  One broadcast call of the kernel runs [function, level].
+    # refine_step.  Each level runs one refine_step on the two nodes, the
+    # four functions as the columns: [level, point, function].
     w, h = freq.omega0, np.ldexp(1.0, [-j for j in levels])
     x = np.multiply.outer(h, [0.0, 1.0, 0.5])
     c, s, s_w = np.cos(w * x), np.sin(w * x), sin_over(w, x)
-    v = np.array([c, s, s_w, _k1(freq, x)])
-    d = np.array([-w * s, w * c, c, s_w])
-    mid_v, mid_d = _insert(np.array(rules).T, v[..., 0], d[..., 0], v[..., 1], d[..., 1])
-    errs = np.maximum(abs(mid_v - v[..., 2]), h * abs(mid_d - d[..., 2])).max(axis=0)
+    v = np.moveaxis(np.array([c, s, s_w, _k1(freq, x)]), 0, -1)
+    d = np.moveaxis(np.array([-w * s, w * c, c, s_w]), 0, -1)
+    errs = []
+    for k, rule in enumerate(rules):
+        mid = refine_step(HermiteData(v[k, :2], d[k, :2]), rule)
+        errs.append(float(np.maximum(abs(mid.values[1] - v[k, 2]),
+                                     h[k] * abs(mid.derivs[1] - d[k, 2])).max()))
     return [
         _check("stationary-limit distance at level 16", dist, 1e-3, dist < 1e-3),
         *(_check(f"insertion keeps cos, sin at level {j}", err, 1e-13, err < 1e-13)
-          for j, err in zip(levels, errs.tolist())),
+          for j, err in zip(levels, errs)),
     ]
 
 

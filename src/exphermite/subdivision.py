@@ -8,6 +8,11 @@ insertion rule (``masks``) depends on the level through the halved frequency
 w / 2^j, which is what lets the scheme reproduce ellipses at every level.
 The scalar scheme runs the same insertion rule on Bezier control points, in
 each node's mean / half-difference coordinates.
+
+Both kernels run on lanes: 1-D views of the data columns, in which a pair
+of adjacent coordinates is one complex128 element, and share one insertion
+kernel, ``_midpoints``, which forms each node's half-products once for the
+two spans that touch it.
 """
 
 from __future__ import annotations
@@ -88,39 +93,69 @@ def check_node_budget(n: int, periodic: bool, levels: int,
         )
 
 
-def _columns(arr: np.ndarray) -> np.ndarray:
-    """(n,) or (n, dim) array as a (dim, n) view whose rows are the
-    coordinate columns.  The kernels below work one column at a time: a 1-D
-    strided column runs as one long ufunc loop, while an (n, 2) block with
-    interleaved rows runs one two-element loop per row, several times
-    slower."""
-    return arr.reshape(len(arr), -1).T
+def _lanes(block: np.ndarray) -> np.ndarray:
+    """(n,) or (n, ...) float64 array as a (lanes, n) view whose rows are
+    1-D lanes, so that each lane runs as one long ufunc loop (an (n, 2)
+    block with interleaved rows would run one two-element loop per row).
+    When a row holds an even number of coordinates, each adjacent pair is
+    one complex128 lane, so a plane curve is a single lane; a row whose
+    coordinates are not contiguous is copied first (only input blocks can
+    be; the kernels allocate their outputs contiguous).  Odd row widths
+    give one float64 lane per coordinate."""
+    flat = block.reshape(len(block), -1)
+    if flat.shape[1] % 2:
+        return flat.T
+    if flat.strides[1] != flat.itemsize:
+        flat = np.ascontiguousarray(flat)
+    return flat.view(np.complex128).T
 
 
-def _insert(rule, v0, d0, v1, d1, out=(None, None)):
-    """Midpoint slots (value, deriv) between columns (v0, d0) and (v1, d1)
-    for the rule (top, bot, diag) of ``masks``; the entries may also be
-    arrays that broadcast against the columns.  ``out`` may name arrays
-    that receive the two results.
+def _times(lane: np.ndarray, factor: float, out: np.ndarray) -> np.ndarray:
+    """out = lane * factor, one float64 product per coordinate; ``out`` is
+    contiguous.  A complex lane is multiplied through its float64 view,
+    because complex times real is not the real products bitwise: its real
+    part x*f - y*0 can flip the sign of a zero."""
+    if lane.dtype != np.float64 and not lane.flags.c_contiguous:
+        np.copyto(out, lane)
+        lane = out
+    np.multiply(lane.view(np.float64), factor, out=out.view(np.float64))
+    return out
+
+
+def _midpoints(rule, v, d, out_v, out_d, scratch) -> None:
+    """Midpoint slots (value, deriv) of the spans of the lanes (v, d) for
+    the rule (top, bot, diag) of ``masks``, written to out_v and out_d: the
+    n - 1 spans of consecutive nodes, then, when out_v has n slots, the
+    span from the last node back to the first.  ``scratch`` holds two
+    contiguous lanes of n entries.  The derivatives are written first and
+    the values last, after the last read of (v, d), so out_v may share
+    memory with v or d.
 
     The value (v0 + v1)/2 + top (d0 - d1) is summed as (v0/2 + top d0) +
-    (v1/2 - top d1), in that pairwise order.  The derivative is taken in
-    difference form, bot (v1 - v0) + diag (d0 + d1), which loses fewer
-    digits to the large ``bot`` at deep levels than summing -bot v0 +
-    bot v1.
+    (v1/2 - top d1), in that pairwise order.  Each node's half-products
+    a = v/2 + top d and c = v/2 - top d are formed once and shared by the
+    spans on either side of it, so a span's value is a[k] + c[k+1].  The
+    derivative is taken in difference form, bot (v1 - v0) + diag (d0 + d1),
+    which loses fewer digits to the large ``bot`` at deep levels than
+    summing -bot v0 + bot v1.
     """
     top, bot, diag = rule
-    return (np.add(v0 * 0.5 + d0 * top, v1 * 0.5 - d1 * top, out=out[0]),
-            np.add((v1 - v0) * bot, (d0 + d1) * diag, out=out[1]))
-
-
-def _insert_spans(rule, v, d, out_v, out_d, periodic: bool) -> None:
-    """Midpoint slots of the n - 1 spans of the 1-D columns (v, d), then of
-    the span from the last node back to the first when ``periodic``."""
-    n = len(v)
-    _insert(rule, v[:-1], d[:-1], v[1:], d[1:], out=(out_v[:n - 1], out_d[:n - 1]))
-    if periodic:
-        _insert(rule, v[-1:], d[-1:], v[:1], d[:1], out=(out_v[n - 1:], out_d[n - 1:]))
+    n, spans = len(v), len(out_v)
+    lo, hi = scratch
+    np.subtract(v[1:], v[:-1], out=lo[:n - 1])
+    np.add(d[:-1], d[1:], out=hi[:n - 1])
+    if spans == n:
+        np.subtract(v[:1], v[-1:], out=lo[-1:])
+        np.add(d[-1:], d[:1], out=hi[-1:])
+    np.add(_times(lo[:spans], bot, lo[:spans]), _times(hi[:spans], diag, hi[:spans]),
+           out=out_d)
+    _times(v, 0.5, lo)
+    _times(d, top, hi)
+    np.add(lo[:spans], hi[:spans], out=out_v)
+    np.subtract(lo, hi, out=hi)
+    np.add(out_v[:n - 1], hi[1:], out=out_v[:n - 1])
+    if spans == n:
+        np.add(out_v[-1:], hi[:1], out=out_v[-1:])
 
 
 def _check_refinable(n: int, periodic: bool) -> None:
@@ -143,16 +178,26 @@ def refine_step(data: HermiteData, rule: tuple[float, float, float]) -> HermiteD
     about 1.5 * 2^j, so over L steps its relative error grows like
     c * eps * 2^L, with c below 3 on circles and ellipses at M = 4 and 8;
     the M = 4 ellipse measures 1.9e-11 at L = 16.
+
+    The step runs on lanes (``_lanes``): on a plane curve both coordinates
+    of a node are one complex128 element.  The result is bitwise that of
+    one float64 column per coordinate.  Complex + and - act on the real and
+    imaginary parts apart, so each coordinate gets its float sum.  Complex
+    times real is not bitwise the real products (its real part is
+    x*f - y*0, which can flip the sign of a zero), so every product by
+    0.5, top, bot and diag is taken on the float64 view of contiguous
+    scratch.
     """
     n = len(data)
     _check_refinable(n, data.periodic)
     shape = (refined_length(n, data.periodic),) + data.values.shape[1:]
     out_v, out_d = np.empty(shape), np.empty(shape)
-    for v, d, ov, od in zip(_columns(data.values), _columns(data.derivs),
-                            _columns(out_v), _columns(out_d)):
+    values, derivs = _lanes(data.values), _lanes(data.derivs)
+    scratch = [np.empty(n, values.dtype) for _ in range(2)]
+    for v, d, ov, od in zip(values, derivs, _lanes(out_v), _lanes(out_d)):
         ov[0::2] = v
         od[0::2] = d
-        _insert_spans(rule, v, d, ov[1::2], od[1::2], data.periodic)
+        _midpoints(rule, v, d, ov[1::2], od[1::2], scratch)
     return HermiteData(out_v, out_d, periodic=data.periodic)
 
 
@@ -220,8 +265,9 @@ def hermite_to_scalar(freq: Frequency, j: int, data: HermiteData) -> ScalarContr
     _check_finite(data)
     step = _handle_offset(freq, j) * data.derivs
     pts = np.empty((2 * len(data),) + data.values.shape[1:])
-    np.subtract(data.values, step, out=pts[0::2])
-    np.add(data.values, step, out=pts[1::2])
+    for v, s, p in zip(_lanes(data.values), _lanes(step), _lanes(pts)):
+        np.subtract(v, s, out=p[0::2])
+        np.add(v, s, out=p[1::2])
     return ScalarControl(pts, j, data.periodic)
 
 
@@ -230,9 +276,14 @@ def scalar_to_hermite(freq: Frequency, ctrl: ScalarControl) -> HermiteData:
     node's value is the mean of its two control points, its derivative their
     half difference over the handle offset."""
     offset = _handle_offset(freq, ctrl.level)
-    incoming, outgoing = ctrl.points[0::2], ctrl.points[1::2]
-    values = 0.5 * (incoming + outgoing)
-    derivs = 0.5 * (outgoing - incoming) / offset
+    shape = (ctrl.node_count(),) + ctrl.points.shape[1:]
+    values, derivs = np.empty(shape), np.empty(shape)
+    for p, v, d in zip(_lanes(ctrl.points), _lanes(values), _lanes(derivs)):
+        np.add(p[0::2], p[1::2], out=v)
+        np.subtract(p[1::2], p[0::2], out=d)
+    values *= 0.5
+    derivs *= 0.5
+    derivs /= offset
     return HermiteData(values, derivs, periodic=ctrl.periodic)
 
 
@@ -254,6 +305,12 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     which shrinks like 2^-L, so its absolute error stays a few eps of the
     level-0 control points.  Against the control polygon of ``subdivide``,
     random M = 4 ellipses at L = 16 measure within 6 eps of the largest.
+
+    Like ``refine_step`` the step runs on lanes, bitwise the float column
+    form: means, half-differences and slot writes are complex + and -,
+    which act on the two coordinates apart, and the products by 0.5,
+    half_ratio and the rule are taken on the float64 view of contiguous
+    scratch, since complex times real can flip the sign of a zero.
     """
     n = pts.node_count()
     _check_refinable(n, pts.periodic)
@@ -266,15 +323,21 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     # old node k becomes node 2k (points 4k, 4k+1) and the midpoint after
     # it node 2k+1 (points 4k+2, 4k+3)
     out = np.empty((2 * refined_length(n, pts.periodic),) + pts.points.shape[1:])
-    mean, half = np.empty((2, n))
-    mid_m, mid_half = np.empty((2, len(out) // 4))
-    for p, o in zip(_columns(pts.points), _columns(out)):
+    points = _lanes(pts.points)
+    # one allocation per lane: on the M = 4 ellipse at L = 16 one (4, n)
+    # block raised the peak RSS by 8 MB over four lanes of n
+    mean, half, *scratch = [np.empty(n, points.dtype) for _ in range(4)]
+    # the midpoint means are written over the means, which the kernel has
+    # read for the last time by then
+    mid_m = mean[:len(out) // 4]
+    for p, o in zip(points, _lanes(out)):
         a, b = p[0::2], p[1::2]
-        np.multiply(np.add(a, b, out=mean), 0.5, out=mean)
-        np.multiply(np.subtract(b, a, out=half), half_ratio, out=half)
+        _times(np.add(a, b, out=mean), 0.5, mean)
+        _times(np.subtract(b, a, out=half), half_ratio, half)
         np.subtract(mean, half, out=o[0::4])
         np.add(mean, half, out=o[1::4])
-        _insert_spans(rule, mean, half, mid_m, mid_half, pts.periodic)
+        mid_half = o[3::4]
+        _midpoints(rule, mean, half, mid_m, mid_half, scratch)
         np.subtract(mid_m, mid_half, out=o[2::4])
-        np.add(mid_m, mid_half, out=o[3::4])
+        np.add(mid_m, mid_half, out=mid_half)
     return ScalarControl(out, j + 1, pts.periodic)

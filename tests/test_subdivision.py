@@ -26,9 +26,9 @@ from exphermite import (
 from exphermite.subdivision import (
     MAX_LEVEL,
     _handle_offset,
-    _insert,
     check_node_budget,
 )
+from column_kernels import _insert
 from rescaled import phi_rescaled, phi_rescaled_deriv
 from rule2x2 import hm1, hp1
 
@@ -128,7 +128,9 @@ def test_levels_are_validated(level, error):
 
 
 def test_broadcast_insert_equals_one_call_per_rule():
-    # verify's masks suite runs [function, level] through one call
+    # verify's masks suite ran [function, level] through one broadcast call
+    # of the column oracle; it now runs refine_step per level on two nodes
+    # with the functions as columns, which must give the same bits
     f = Frequency(2.0)
     rules = [masks(f, j) for j in (0, 5, 16)]
     v0, d0, v1, d1 = np.random.default_rng(3).normal(size=(4, 4, 3))
@@ -137,6 +139,10 @@ def test_broadcast_insert_equals_one_call_per_rule():
         one_v, one_d = _insert(rule, v0[:, k], d0[:, k], v1[:, k], d1[:, k])
         assert np.array_equal(mid_v[:, k].view(np.uint64), one_v.view(np.uint64))
         assert np.array_equal(mid_d[:, k].view(np.uint64), one_d.view(np.uint64))
+        step = refine_step(HermiteData(np.stack([v0[:, k], v1[:, k]]),
+                                       np.stack([d0[:, k], d1[:, k]])), rule)
+        assert np.array_equal(step.values[1].view(np.uint64), one_v.view(np.uint64))
+        assert np.array_equal(step.derivs[1].view(np.uint64), one_d.view(np.uint64))
 
 
 def test_refine_even_slots_are_bitwise_copies():

@@ -1,15 +1,18 @@
-"""The explicit 2x2 subdivision kernels against the generic einsum form
-they replaced, kept here as a test-only oracle.
+"""The subdivision kernels against two test-only oracles.
 
-The kernels sum in a different order (and take the derivative row in
-difference form), so agreement is within the error model, not bitwise:
-values to a few eps of the data scale, derivatives to c eps 2^L relative to
-the slope scale, scalar control points to 1e-11.
+The generic einsum form sums in a different order (and takes the
+derivative row in difference form), so agreement with it is within the
+error model, not bitwise: values to a few eps of the data scale,
+derivatives to c eps 2^L relative to the slope scale, scalar control
+points to 1e-11.  The column-by-column kernels (``column_kernels``) do the
+same float operations as the lane kernels, so agreement with them is
+bitwise, signed zeros included.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +24,15 @@ from exphermite import (
     masks,
     refine_step,
     scalar_refine_step,
+    scalar_to_hermite,
 )
 from exphermite.subdivision import _handle_offset
+from column_kernels import (
+    column_hermite_to_scalar,
+    column_refine_step,
+    column_scalar_refine_step,
+    column_scalar_to_hermite,
+)
 from rule2x2 import hm1, hp1
 
 EPS = float(np.finfo(float).eps)
@@ -126,3 +136,72 @@ def test_kernels_match_einsum_oracle(case):
     assert fast_ctrl.points.shape == slow_ctrl.points.shape
     assert fast_ctrl.level == slow_ctrl.level == levels
     assert np.abs(fast_ctrl.points - slow_ctrl.points).max() <= SCALAR_TOL * scale
+
+
+def _layouts(block: np.ndarray):
+    """``block`` as a contiguous array and as strided views of a larger
+    buffer: one 8 bytes into each row (so a complex128 lane is not
+    16-byte aligned), one with reversed rows, and a Fortran-order copy."""
+    n = len(block)
+    flat = block.reshape(n, -1)
+    width = flat.shape[1]
+    yield "contiguous", block.copy()
+    base = np.full((n, width + 3), np.nan)
+    base[:, 1:1 + width] = flat
+    yield "offset by 8 bytes", base[:, 1:1 + width].reshape(block.shape)
+    base = np.full((n, width + 4), np.nan)
+    base[::-1, 2:2 + width] = flat
+    yield "reversed rows", base[::-1, 2:2 + width].reshape(block.shape)
+    yield "fortran order", np.asfortranarray(block)
+
+
+def _salted(rng, shape, scale):
+    """Random data with about a quarter of the entries set to +0.0 or -0.0,
+    and, when a row has two or more coordinates, all of the first one: a
+    zero result keeps its sign only while every term is a zero, and a
+    product taken in complex arithmetic (x*f - y*0) flips it where the
+    neighbouring coordinate y is negative."""
+    data = scale * rng.normal(size=shape)
+    zeros = rng.random(size=shape) < 0.25
+    if len(shape) > 1 and math.prod(shape[1:]) > 1:
+        zeros.reshape(shape[0], -1)[:, 0] = True
+    data[zeros] = np.copysign(0.0, rng.normal(size=shape))[zeros]
+    return data
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("w", [0.0, 1e-9, 0.8731, math.pi])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("tail", [(), (1,), (2,), (3,), (2, 2), (0,)])
+def test_lane_kernels_are_bitwise_the_column_kernels(tail, periodic, w):
+    freq = Frequency(w)
+    rng = np.random.default_rng([len(tail), sum(tail), periodic, int(w * 1e4)])
+    for n in ((1, 2, 6, 9) if periodic else (2, 3, 7)):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        values = _salted(rng, (n,) + tail, scale)
+        derivs = _salted(rng, (n,) + tail, scale)
+        for (name, v), (_, d) in zip(_layouts(values), _layouts(derivs)):
+            data = HermiteData(v, d, periodic)
+            lane = column = data
+            for j in range(3):
+                rule = masks(freq, j)
+                lane, column = refine_step(lane, rule), column_refine_step(column, rule)
+                assert _same_bits(lane.values, column.values), (name, n, j)
+                assert _same_bits(lane.derivs, column.derivs), (name, n, j)
+            lane = hermite_to_scalar(freq, 0, data)
+            column = column_hermite_to_scalar(freq, 0, data)
+            assert _same_bits(lane.points, column.points), (name, n)
+            for j in range(3):
+                lane = scalar_refine_step(lane, freq)
+                column = column_scalar_refine_step(column, freq)
+                assert _same_bits(lane.points, column.points), (name, n, j)
+            for pts in _layouts(lane.points):
+                ctrl = ScalarControl(pts[1], lane.level, periodic)
+                back = scalar_to_hermite(freq, ctrl)
+                expected = column_scalar_to_hermite(freq, ctrl)
+                assert _same_bits(back.values, expected.values), (pts[0], n)
+                assert _same_bits(back.derivs, expected.derivs), (pts[0], n)
