@@ -193,8 +193,8 @@ def _suite_masks(freq: Frequency) -> list[dict]:
     w, h = freq.omega0, np.ldexp(1.0, [-j for j in levels])
     x = np.multiply.outer(h, [0.0, 1.0, 0.5])
     c, s, s_w = np.cos(w * x), np.sin(w * x), sin_over(w, x)
-    v = np.moveaxis(np.array([c, s, s_w, _k1(freq, x)]), 0, -1)
-    d = np.moveaxis(np.array([-w * s, w * c, c, s_w]), 0, -1)
+    v = np.stack([c, s, s_w, _k1(freq, x)], axis=-1)
+    d = np.stack([-w * s, w * c, c, s_w], axis=-1)
     errs = []
     for k, rule in enumerate(rules):
         mid = refine_step(HermiteData(v[k, :2], d[k, :2]), rule)

@@ -111,10 +111,9 @@ def _lanes(block: np.ndarray) -> np.ndarray:
 
 
 def _times(lane: np.ndarray, factor: float, out: np.ndarray) -> np.ndarray:
-    """out = lane * factor, one float64 product per coordinate; ``out`` is
-    contiguous.  A complex lane is multiplied through its float64 view,
-    because complex times real is not the real products bitwise: its real
-    part x*f - y*0 can flip the sign of a zero."""
+    """out = lane * factor as one float64 product per coordinate, through
+    the float64 view of the contiguous ``out`` (see refine_step for why a
+    complex lane is not multiplied as complex)."""
     if lane.dtype != np.float64 and not lane.flags.c_contiguous:
         np.copyto(out, lane)
         lane = out

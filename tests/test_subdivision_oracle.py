@@ -184,7 +184,9 @@ def test_lane_kernels_are_bitwise_the_column_kernels(tail, periodic, w):
         scale = 10.0 ** rng.uniform(-3, 3)
         values = _salted(rng, (n,) + tail, scale)
         derivs = _salted(rng, (n,) + tail, scale)
-        for (name, v), (_, d) in zip(_layouts(values), _layouts(derivs)):
+        # values and derivatives in different layouts, so that a lane type
+        # that followed the layout would pair complex with float lanes
+        for (name, v), (_, d) in zip(_layouts(values), [*_layouts(derivs)][::-1]):
             data = HermiteData(v, d, periodic)
             lane = column = data
             for j in range(3):
