@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from exphermite import Frequency, HermiteData, masks, spline_eval
+from exphermite import Frequency, HermiteData, spline_eval
+from exphermite.subdivision import stationary_distance
 
 
 def interpolation_error(h: float, w0: float = 1.0) -> float:
@@ -34,11 +35,7 @@ def main() -> None:
     freq = Frequency(3 * math.pi / 4)
     print(f"{'level':>6} {'distance':>14}")
     for j in range(0, 13, 2):
-        top, bot, diag = masks(freq, j)
-        h = 2.0 ** (-j)
-        # top/h, bot h and diag tend to the stationary 1/8, 3/2 and -1/4
-        dist = max(abs(top / h - 0.125), abs(bot * h - 1.5), abs(diag + 0.25))
-        print(f"{j:6d} {dist:14.6e}")
+        print(f"{j:6d} {stationary_distance(freq, j):14.6e}")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from .subdivision import (
     masks,
     refine_step,
     scalar_refine_step,
+    stationary_distance,
     subdivide,
 )
 
@@ -180,10 +181,7 @@ def _suite_reproduction(freq: Frequency) -> list[dict]:
 def _suite_masks(freq: Frequency) -> list[dict]:
     levels = (0, 16)
     rules = [masks(freq, j) for j in levels]
-    # the rescaled level-16 rule against its stationary (Merrien) limit
-    # top/h = 1/8, bot h = 3/2, diag = -1/4
-    top, bot, diag = rules[-1]
-    dist = max(abs(top / 2.0**-16 - 0.125), abs(bot * 2.0**-16 - 1.5), abs(diag + 0.25))
+    dist = stationary_distance(freq, 16)
     # one insertion per level at the nodes x = 0, h = 2^-j, against the
     # exact midpoint, on cos(w x), sin(w x) and the scaled pair sin(w x)/w,
     # (1 - cos(w x))/w^2, which tend to x and x^2/2 and so keep the check

@@ -70,6 +70,15 @@ def masks(freq: Frequency, j: int) -> tuple[float, float, float]:
     return top, bot, diag
 
 
+def stationary_distance(freq: Frequency, j: int) -> float:
+    """Distance of the level-j rule, rescaled by h = 2^-j, from its
+    stationary (Merrien) limit top/h = 1/8, bot h = 3/2, diag = -1/4:
+    max(|top/h - 1/8|, |bot h - 3/2|, |diag + 1/4|)."""
+    top, bot, diag = masks(freq, j)
+    h = 2.0 ** (-j)
+    return max(abs(top / h - 0.125), abs(bot * h - 1.5), abs(diag + 0.25))
+
+
 MAX_NODES = 2**24
 """Largest node count ``subdivide`` will produce (the CLI caps its text
 output lower).  Vector output of 2^24 plane nodes holds 512 MB of values and

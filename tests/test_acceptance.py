@@ -36,6 +36,7 @@ from exphermite import (
     unit_circle,
 )
 from exphermite.cli import main
+from exphermite.subdivision import stationary_distance
 
 CRITERION_FREQS = [0.01, 0.5, 1.0, 3 * math.pi / 4, math.pi]
 
@@ -177,9 +178,7 @@ def test_criterion_08_subdivision_exactness():
             abs(float(deriv) - refined.derivs[n]),
         )
     report(8, "six-level refinement vs direct evaluation", worst < 1e-10, worst, 1e-10)
-    top, bot, diag = masks(f, 16)
-    h = 2.0 ** (-16)
-    dist = max(abs(top / h - 0.125), abs(bot * h - 1.5), abs(diag + 0.25))
+    dist = stationary_distance(f, 16)
     report(8, "stationary-limit masks at level 16", dist < 1e-3, dist, 1e-3)
 
 

@@ -510,3 +510,12 @@ def test_bspline_order_must_be_the_int_3_or_4(order, method):
 
     with pytest.raises(ValueError, match="order must be 3 or 4"):
         bspline(Frequency(0.7), order, 1.5, method)
+
+
+@pytest.mark.parametrize("order", [True, 3.0, 4.0, "4", 5, np.int64(3)], ids=repr)
+def test_annihilation_weights_order_must_be_the_int_3_or_4(order):
+    from exphermite import annihilation_weights
+
+    with pytest.raises(ValueError, match="order must be 3 or 4"):
+        annihilation_weights(Frequency(0.7), order)
+    assert len(annihilation_weights(Frequency(0.7), 4)) == 5

@@ -33,7 +33,7 @@ from exphermite import (
     phi_deriv,
     rho,
 )
-from exphermite.greens import _localization_coefficients
+from exphermite.greens import _constants
 
 GRID = [0.0, 1e-7, 0.99e-4, 1.01e-4, 0.01, 0.5, 1.0, 2.0, 3 * math.pi / 4, math.pi]
 VALUE_TOL = 4e-15
@@ -71,7 +71,8 @@ def errors(w: float) -> dict[str, float]:
         out[f"rho{k}"] = worst(zip(rho(f, k, RHO_X), (exact.rho(w, k, x) for x in RHO_X)))
     out["lam"] = error(conversion_ratio(f), exact.conversion_ratio(w))
     out["kappa"] = error(endpoint_slope(f), exact.endpoint_slope(w))
-    out["localization"] = worst(zip(_localization_coefficients(f),
+    constants = _constants(f)
+    out["localization"] = worst(zip((constants.g1.C, -constants.g1.D, constants.c4),
                                     exact.localization_coefficients(w)))
     pairs = []
     for j in LEVELS:

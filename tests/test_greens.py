@@ -19,7 +19,7 @@ from exphermite import (
     rho_from_phi,
 )
 from exphermite.frequency import sin_minus_x_cos_scaled, sinc, x_minus_sin_scaled
-from exphermite.greens import _localization_coefficients, _superfunction_terms
+from exphermite.greens import _constants
 
 
 def filtered(weights, f, x: float) -> float:
@@ -197,12 +197,11 @@ def test_green_combination_vanishes_outside_support():
 
 def test_superfunction_coefficient_sums():
     f = Frequency(1.9)
-    terms4 = _superfunction_terms(f, 4)
-    assert sum(t[1] for t in terms4) == 1.0
-    assert sum(t[2] for t in terms4) == 0.0
-    terms3 = _superfunction_terms(f, 3)
-    assert sum(t[1] for t in terms3) == 1.0
-    assert sum(t[2] for t in terms3) == 0.0
+    terms3, terms4 = _constants(f).terms
+    assert sum(t[0] for t in terms4) == 1.0
+    assert sum(t[1] for t in terms4) == 0.0
+    assert sum(t[0] for t in terms3) == 1.0
+    assert sum(t[1] for t in terms3) == 0.0
 
 
 def closed_form_coefficients(freq: Frequency):
@@ -224,8 +223,8 @@ def test_shared_coefficients_equal_their_closed_forms_bitwise():
     got, want = [], []
     for w in grid:
         f = Frequency(w)
-        c, c3, _ = _localization_coefficients(f)
-        got.append((c, c3, _superfunction_terms(f, 4)[0][1]))
+        constants = _constants(f)
+        got.append((constants.g1.C, -constants.g1.D, constants.terms[1][0][0]))
         want.append(closed_form_coefficients(f))
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
 
