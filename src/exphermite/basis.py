@@ -227,13 +227,14 @@ class HermiteData:
         0..len-1 otherwise.  A periodic int is wrapped without numpy."""
         if self.periodic and type(n) is int:
             return n % len(self)
-        n = np.asarray(n).astype(np.intp)
+        # wrapped or checked before the cast, which overflows from 2^63 on
         if self.periodic:
-            return n % len(self)
+            return np.mod(n, len(self)).astype(np.intp)
+        n = np.asarray(n)
         bad = n[(n < 0) | (n >= len(self))]
         if bad.size:
-            raise IndexError(f"sample index {bad[0]} outside 0..{len(self) - 1}")
-        return n
+            raise IndexError(f"sample index {bad[0]:.17g} outside 0..{len(self) - 1}")
+        return n.astype(np.intp)
 
 
 def _span_values(pair: GeneratorPair, t, kernels, kernels1, v0, v1, d0, d1):
@@ -333,11 +334,10 @@ def spline_grid(freq: Frequency, data: HermiteData, samples_per_span: int):
     samples are bitwise those of ``spline_eval`` at arange(spans * S) / S;
     for other S the two parameters differ in their low bits.
 
-    DomainError unless samples_per_span is an int (a bool is not a count)
-    of at least 1.
+    DomainError unless samples_per_span is an int (exactly, as every count
+    and index here) of at least 1.
     """
-    if (isinstance(samples_per_span, bool) or not isinstance(samples_per_span, int)
-            or samples_per_span < 1):
+    if type(samples_per_span) is not int or samples_per_span < 1:
         raise DomainError(
             f"samples_per_span must be an int >= 1, got {samples_per_span!r}"
         )

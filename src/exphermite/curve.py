@@ -81,8 +81,8 @@ class ClosedHermiteCurve:
 
 def unit_circle(period: int) -> ClosedHermiteCurve:
     """The unit circle encoded exactly with M = period control points."""
-    if period < 3:
-        raise DomainError(f"period must be >= 3, got {period!r}")
+    if type(period) is not int or period < 3:
+        raise DomainError(f"period must be an int >= 3, got {period!r}")
     w = 2.0 * math.pi / period
     n = np.arange(period)
     points = np.column_stack([np.cos(w * n), np.sin(w * n)])

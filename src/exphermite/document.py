@@ -39,8 +39,8 @@ docstring gives the measured crossover.
 ``loads_document`` reads text of SMALL_READ_BYTES or more through a numpy
 decoder, the inverse of that kernel, when the text has exactly the layout
 ``dumps_document`` writes; everything else, and every text the decoder
-does not take, goes through ``json.loads`` as a whole.  The version, M,
-mode and curve checks after that are the same for both routes.
+does not take, goes through ``json.loads`` as a whole.  Both routes hand
+the fields to ``CurveDocument``, which makes every check on their values.
 
 - Layout: the header is matched as a regex (JSON integers of at most 18
   digits, a string without escapes), and the literals between and after
@@ -105,12 +105,12 @@ class CurveDocument:
     _curve: ClosedHermiteCurve = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the reader's rules, so that every document built here reads back;
-        # a bool is an int but never a document value
+        # every rule on the values, the reader's too, stated once here
         if type(self.version) is not int or type(self.period) is not int:
             raise DocumentFormatError("document version and M must be ints")
         if self.version != DOCUMENT_VERSION:
-            raise DocumentFormatError(f"unsupported document version {self.version!r}")
+            raise DocumentFormatError(f"unsupported document version {self.version!r}"
+                                      f"; expected {DOCUMENT_VERSION}")
         if self.omega0_mode != "auto":
             raise DomainError(f"unsupported omega0_mode {self.omega0_mode!r}")
         # the curve's own rules: shape (M, 2), M >= 3, finite entries
@@ -629,12 +629,12 @@ def _read_layout(text: str):
     return (int(head[1]), int(head[2]), head[3].decode("ascii"), points, tangents)
 
 
-def _require(payload: dict, key: str, kinds) -> object:
+def _require(payload: dict, key: str, kind: type) -> object:
     if key not in payload:
         raise DocumentFormatError(f"missing document key {key!r}")
     value = payload[key]
-    # bool is an int subclass but never a valid document value
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    # json.loads yields exact types, so this also refuses a bool for an int
+    if type(value) is not kind:
         raise DocumentFormatError(f"document key {key!r} has wrong type")
     return value
 
@@ -671,21 +671,14 @@ def loads_document(text: str) -> CurveDocument:
     """Parse and validate; format problems raise DocumentFormatError,
     invariant violations raise DomainError.  Text of SMALL_READ_BYTES or
     more in the layout dumps_document writes is decoded by the array
-    reader, anything else by json.loads (see the module docstring); the
-    checks after that are the same for both."""
+    reader, anything else by json.loads (see the module docstring); both
+    hand the fields to CurveDocument, which checks their values."""
     fields = _read_layout(text) if len(text) >= SMALL_READ_BYTES else None
     version, period, mode, points, tangents = fields or _read_json(text)
-    if version != DOCUMENT_VERSION:
-        raise DocumentFormatError(
-            f"unsupported document version {version!r}; "
-            f"expected {DOCUMENT_VERSION}"
-        )
     try:
-        points = np.asarray(points, dtype=float)
-        tangents = np.asarray(tangents, dtype=float)
+        return CurveDocument(version, period, points, tangents, mode)
     except OverflowError:  # an integer literal beyond the float range
         raise DomainError("document entries must be finite numbers") from None
-    return CurveDocument(version, period, points, tangents, mode)
 
 
 def refined_document(doc: CurveDocument, refined) -> CurveDocument:

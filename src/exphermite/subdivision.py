@@ -39,9 +39,9 @@ MAX_LEVEL = 1022
 
 
 def _check_level(j: int) -> None:
-    """ValueError unless j is a nonnegative int (a bool is not a level),
-    DomainError above MAX_LEVEL."""
-    if isinstance(j, bool) or not isinstance(j, int) or j < 0:
+    """ValueError unless j is a nonnegative int (exactly, so not a bool or
+    a numpy integer), DomainError above MAX_LEVEL."""
+    if type(j) is not int or j < 0:
         raise ValueError(f"level must be a nonnegative int, got {j!r}")
     if j > MAX_LEVEL:
         raise DomainError(f"level {j} is above the deepest level {MAX_LEVEL}")

@@ -2,6 +2,7 @@
 partition of unity, rescaling, and the cubic limit."""
 
 import math
+from enum import IntEnum
 
 import mpmath as mp
 import numpy as np
@@ -448,9 +449,9 @@ def test_spline_eval_rejects_non_finite_points():
 def test_spline_eval_missing_samples():
     f = Frequency(1.0)
     data = HermiteData(np.zeros(3), np.zeros(3))
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^sample index 3 outside 0\.\.2$"):
         spline_eval(f, data, 2.5)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^sample index -1 outside 0\.\.2$"):
         spline_eval(f, data, -0.5)
 
 
@@ -475,7 +476,9 @@ def test_frequency_is_keyed_by_its_float():
         assert after[name]["hits"] >= before[name]["hits"] + 1, name
 
 
-BAD_INDICES = [True, False, 1.0, 2.0, "1", 3, 0, None]
+# an IntEnum member or a numpy integer is not an int either (type(x) is int)
+BAD_INDICES = [True, False, 1.0, 2.0, "1", 3, 0, None,
+               IntEnum("Which", [("ONE", 1)]).ONE, np.int64(1)]
 
 
 @pytest.mark.parametrize("which", BAD_INDICES, ids=repr)
@@ -493,7 +496,9 @@ def test_which_must_be_the_int_1_or_2(which):
                 fn(f, which, x)
 
 
-@pytest.mark.parametrize("ell", [True, False, 1.0, "1", 4, -1, None], ids=repr)
+@pytest.mark.parametrize("ell", [True, False, 1.0, "1", 4, -1, None,
+                                 IntEnum("Ell", [("ONE", 1)]).ONE, np.int64(1)],
+                         ids=repr)
 def test_bernstein_index_must_be_an_int_in_0_to_3(ell):
     from exphermite import bernstein
 
@@ -503,7 +508,9 @@ def test_bernstein_index_must_be_an_int_in_0_to_3(ell):
     assert bernstein(Frequency(0.7), 3, 0.3) > 0.0
 
 
-@pytest.mark.parametrize("order", [True, 3.0, 4.0, "4", 5])
+@pytest.mark.parametrize("order", [True, 3.0, 4.0, "4", 5,
+                                   IntEnum("Order", [("THREE", 3)]).THREE,
+                                   np.int64(3)])
 @pytest.mark.parametrize("method", ["green", "superfunction"])
 def test_bspline_order_must_be_the_int_3_or_4(order, method):
     from exphermite import bspline

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -182,17 +183,25 @@ def test_subdivide_malformed_json_exit_four(tmp_path):
 
 
 def test_unknown_document_version_exit_four(tmp_path, capsys):
-    payload = json.loads(write_circle(tmp_path).read_text())
-    payload["version"] = 99
-    text = json.dumps(payload)
-    with pytest.raises(DocumentFormatError, match="version"):
-        loads_document(text)
-    future = tmp_path / "future.json"
-    future.write_text(text)
-    with pytest.raises(SystemExit) as info:
-        main(["subdivide", str(future), "--levels", "1"])
-    assert info.value.code == 4
-    assert "version 99" in capsys.readouterr().err
+    # CurveDocument states the rule, and the reader hands it the version
+    curve = unit_circle(8)
+    for version in (2, 99):
+        expected = f"unsupported document version {version}; expected 1"
+        payload = json.loads(write_circle(tmp_path).read_text())
+        payload["version"] = version
+        text = json.dumps(payload)
+        with pytest.raises(DocumentFormatError) as info:
+            loads_document(text)
+        assert str(info.value) == expected
+        with pytest.raises(DocumentFormatError) as info:
+            CurveDocument(version, 8, curve.points, curve.tangents)
+        assert str(info.value) == expected
+        future = tmp_path / "future.json"
+        future.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["subdivide", str(future), "--levels", "1"])
+        assert info.value.code == 4
+        assert f"error: malformed document: {expected}\n" in capsys.readouterr().err
 
 
 def write_payload(tmp_path, payload, name="doc.json"):
@@ -221,6 +230,16 @@ def test_subdivide_document_entry_exit_codes(tmp_path, capsys, entry, code, mess
             main(["subdivide", path])
         assert info.value.code == code
     assert message in capsys.readouterr().err
+
+
+def test_an_entry_above_the_float_range_and_a_wrong_mode(tmp_path, capsys):
+    text = write_circle(tmp_path).read_text().replace("[1, 0]", f"[{10**400}, 0]", 1)
+    assert main(["subdivide", write_payload(tmp_path, text, "huge.json")]) == 3
+    assert "error: document entries must be finite numbers\n" in capsys.readouterr().err
+    # CurveDocument checks the mode before it converts the entries
+    path = write_payload(tmp_path, text.replace('"auto"', '"fixed"'), "mode.json")
+    assert main(["subdivide", path]) == 3
+    assert "error: unsupported omega0_mode 'fixed'\n" in capsys.readouterr().err
 
 
 def test_subdivide_deeply_nested_document_exit_four(tmp_path, capsys):
@@ -538,7 +557,10 @@ def test_subdivide_invariant_violation_exit_three(tmp_path):
     assert main(["subdivide", str(wrong), "--levels", "1"]) == 3
 
 
-@pytest.mark.parametrize("samples", [0, -1, 2.5, 4.0, True, False, "4", None])
+@pytest.mark.parametrize("samples", [0, -1, 2.5, 4.0, True, False, "4", None,
+                                     pytest.param(IntEnum("Count", [("FOUR", 4)]).FOUR,
+                                                  id="IntEnum-4"),
+                                     pytest.param(np.int64(4), id="int64-4")])
 def test_render_svg_refuses_a_samples_per_span_that_is_not_a_count(samples):
     # 2.5 on M = 3 used to draw 8 points off the span grid, True acted as 1
     doc = CurveDocument.from_curve(unit_circle(3))

@@ -2,6 +2,7 @@
 reproduction, and the fourth-order accuracy of the representation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ def test_minimum_period():
         unit_circle(2)
 
 
+@pytest.mark.parametrize("period", [2, 3.5, 8.0, True, "8", np.int64(8)], ids=repr)
+def test_unit_circle_period_must_be_an_int(period):
+    # 3.5 would give 4 points at multiples of 2 pi / 3.5, which with the
+    # curve's frequency 2 pi / 4 is no circle
+    with pytest.raises(DomainError, match="period must be an int >= 3"):
+        unit_circle(period)
+
+
 def test_circle_survives_subdivision():
     curve = unit_circle(8)
     refined = subdivide(curve.freq, curve.to_hermite_data(), 5)
@@ -279,6 +288,24 @@ def test_eval_at_a_float_is_the_lane_of_the_array_call(period):
         for got, lane in ((point, points[i]), (tangent, tangents[i])):
             assert type(got) is np.ndarray and got.shape == (2,)
             assert np.array_equal(got.view(np.uint64), lane.view(np.uint64)), t
+
+
+@pytest.mark.parametrize("period", [3, 5, 8])
+def test_huge_periodic_parameters_wrap_before_the_index_cast(period):
+    # floor(x) at or above 2^63 does not fit an intp, so the sample index is
+    # wrapped while it is still a float; open data are checked the same way
+    curve = unit_circle(period)
+    data = curve.to_hermite_data()
+    for x in (2.0 ** 63, 1e300, -1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spline_eval(curve.freq, data, np.array([x]))
+        expected = spline_eval(curve.freq, data, np.array([np.mod(x, period)]))
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes(), x
+    open_data = HermiteData(data.values, data.derivs)
+    with pytest.raises(IndexError, match="sample index 1.0000000000000001e"):
+        spline_eval(curve.freq, open_data, np.array([1e300]))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

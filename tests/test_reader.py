@@ -55,6 +55,16 @@ def outcome(text, fast):
     return doc.points, doc.tangents
 
 
+def message(text, fast):
+    """The message of the error loads_document raises on text, or None."""
+    with route(fast):
+        try:
+            loads_document(text)
+        except (DocumentFormatError, DomainError) as exc:
+            return str(exc)
+    return None
+
+
 def exit_codes(text):
     """The exit codes of the CLI reading text through each route."""
     codes = []
@@ -174,6 +184,8 @@ def test_adversarial_tokens_fall_back(token, where):
 def test_layout_edits_agree_with_json(edit):
     text = edit(big_document())
     assert_same(outcome(text, fast=True), outcome(text, fast=False))
+    # both routes hand the fields to CurveDocument, so the messages agree too
+    assert message(text, fast=True) == message(text, fast=False)
 
 
 def test_wide_range_doubles_agree_with_json():

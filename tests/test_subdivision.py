@@ -2,6 +2,7 @@
 derived scalar four-point scheme."""
 
 import math
+from enum import IntEnum
 
 import mpmath as mp
 import numpy as np
@@ -110,6 +111,8 @@ def test_deepest_level_rule_is_finite():
     (-1, ValueError),
     (-3, ValueError),
     ("3", ValueError),
+    (IntEnum("Level", [("TWO", 2)]).TWO, ValueError),  # an int subclass
+    (np.int64(2), ValueError),
 ])
 def test_levels_are_validated(level, error):
     f = Frequency(1.0)
