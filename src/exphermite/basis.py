@@ -221,15 +221,23 @@ class HermiteData:
     def __len__(self) -> int:
         return len(self.values)
 
-    def index(self, n) -> np.ndarray:
-        """Sample indices of the integral grid positions n (any shape),
-        wrapped modulo the length when periodic; IndexError outside
-        0..len-1 otherwise.  A periodic int is wrapped without numpy."""
-        if self.periodic and type(n) is int:
-            return n % len(self)
-        # wrapped or checked before the cast, which overflows from 2^63 on
-        if self.periodic:
-            return np.mod(n, len(self)).astype(np.intp)
+    def span_indices(self, n0, n1):
+        """Sample indices of the span ends n0 and n1, integral grid
+        positions of one shape with n1 - n0 in {0, 1}: wrapped modulo the
+        length when periodic; IndexError outside 0..len-1 otherwise.  A
+        periodic int is wrapped without numpy, and a periodic array once:
+        the index of n1 steps from that of n0 as an int."""
+        if not self.periodic:
+            return self._checked_index(n0), self._checked_index(n1)
+        if type(n0) is int:
+            return n0 % len(self), n1 % len(self)
+        # wrapped before the cast, which overflows from 2^63 on
+        i0 = np.mod(n0, len(self)).astype(np.intp)
+        i1 = i0 + (n1 != n0)
+        return i0, np.where(i1 == len(self), 0, i1)
+
+    def _checked_index(self, n) -> np.ndarray:
+        # checked before the cast, which overflows from 2^63 on
         n = np.asarray(n)
         bad = n[(n < 0) | (n >= len(self))]
         if bad.size:
@@ -279,7 +287,7 @@ def _spline_at(freq: Frequency, data: HermiteData, x, deriv: bool):
     else:
         n0, n1 = math.floor(x), math.ceil(x)
     t = x - n0
-    i0, i1 = data.index(n0), data.index(n1)
+    i0, i1 = data.span_indices(n0, n1)
     # coordinates first, so the weights, shaped like x, broadcast against them
     values, derivs = data.values.T, data.derivs.T
     v0, d0 = values[..., i0], derivs[..., i0]
@@ -345,7 +353,7 @@ def spline_grid(freq: Frequency, data: HermiteData, samples_per_span: int):
     t = np.arange(samples_per_span) / samples_per_span
     # coordinates first, then spans, then fractions
     values, derivs = data.values.T[..., None], data.derivs.T[..., None]
-    i0, i1 = data.index(spans), data.index(spans + 1)
+    i0, i1 = data.span_indices(spans, spans + 1)
     value = _span_values(
         make_generators(freq), t, piece_kernels(freq, t),
         piece_kernels(freq, 1.0 - t), values[..., i0, :], values[..., i1, :],

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -71,13 +73,33 @@ def parse_omega0(text: str) -> float:
         ) from None
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    # the flags open() gives "wb", O_BINARY included, without O_TRUNC
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_text(path: str | None, text: str) -> None:
+    """Write text as UTF-8 to the file at path, or to stdout for None or "-".
+
+    The file is overwritten in place and then truncated to the bytes
+    written, not truncated to zero first: on ext4 a rewrite after a
+    truncate to zero makes the kernel flush the data when the file closes.
+    A successful write leaves the bytes, inode, mode and links of a "w"
+    open; a failed one leaves exactly the bytes it wrote.  Only a regular
+    file is truncated, so devices and FIFOs are written as before.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb", opener=_open_in_place) as fh:
+            try:
+                fh.write(text.encode("utf-8"))
+                fh.flush()
+            finally:
+                # the raw position counts the bytes that reached the file
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.raw.truncate()
     except OSError as exc:
         print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_UNWRITABLE) from exc

@@ -4,6 +4,7 @@ and cross-invocation consistency."""
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -668,6 +669,116 @@ def test_render_unwritable_exit_five(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["render", str(path), "--out", str(tmp_path / "no/such/dir/x.svg")])
     assert info.value.code == 5
+
+
+# every command that writes --out, given the input document
+OUT_COMMANDS = {
+    "basis": lambda doc: ["basis", "--omega0", "1.7", "--which", "2",
+                          "--samples", "41"],
+    "render": lambda doc: ["render", doc, "--handles"],
+    "subdivide-vector": lambda doc: ["subdivide", doc, "--levels", "4"],
+    "subdivide-scalar": lambda doc: ["subdivide", doc, "--levels", "4",
+                                     "--scheme", "scalar"],
+}
+
+
+def _fresh_output(tmp_path, argv):
+    fresh = tmp_path / "fresh.out"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_over_an_existing_file_equals_a_fresh_write(tmp_path, command):
+    # the file is written in place and truncated: no stale tail of a
+    # longer file, whatever its length
+    argv = OUT_COMMANDS[command](str(write_circle(tmp_path)))
+    fresh = _fresh_output(tmp_path, argv)
+    out = tmp_path / "old.out"
+    for size in (3 * len(fresh), len(fresh) + 1, len(fresh), len(fresh) // 2, 0):
+        out.write_bytes(b"\xff" * size)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == fresh, size
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX links and mode bits")
+def test_out_keeps_inode_mode_and_links_and_writes_through_a_symlink(tmp_path):
+    doc = str(write_circle(tmp_path))
+    fresh = _fresh_output(tmp_path, ["render", doc])
+    # a new file gets the mode of a "w" open
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    assert (tmp_path / "fresh.out").stat().st_mode == plain.stat().st_mode
+    out, link, sym = tmp_path / "out.svg", tmp_path / "link.svg", tmp_path / "sym.svg"
+    out.write_bytes(b"x" * 3 * len(fresh))
+    os.chmod(out, 0o640)
+    os.link(out, link)
+    sym.symlink_to(out)
+    before = out.stat()
+    assert main(["render", doc, "--out", str(sym)]) == 0
+    after = out.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert after.st_nlink == 2
+    assert sym.is_symlink()
+    assert out.read_bytes() == link.read_bytes() == fresh
+
+
+def test_subdivide_zero_levels_rewrites_its_own_input(tmp_path):
+    path = write_circle(tmp_path)
+    data = path.read_bytes()
+    assert main(["subdivide", str(path), "--levels", "0", "--out", str(path)]) == 0
+    assert path.read_bytes() == data
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_to_dev_null_exits_zero(tmp_path, command):
+    argv = OUT_COMMANDS[command](str(write_circle(tmp_path)))
+    assert main([*argv, "--out", "/dev/null"]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_to_dev_full_exits_five(tmp_path, capsys, command):
+    argv = OUT_COMMANDS[command](str(write_circle(tmp_path)))
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", "/dev/full"])
+    assert info.value.code == 5
+    assert capsys.readouterr().err.startswith("error: cannot write '/dev/full'")
+
+
+# the file size limit applies to this child process alone; SIGXFSZ ignored,
+# a write past it fails with EFBIG after the bytes below the limit
+FSIZE_CHILD = """\
+import resource, signal, sys
+from exphermite.cli import main
+limit = int(sys.argv[1])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux rlimit")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_a_failed_write_leaves_exactly_the_bytes_it_wrote(tmp_path, command):
+    argv = OUT_COMMANDS[command](str(write_circle(tmp_path)))
+    fresh = _fresh_output(tmp_path, argv)
+    out = tmp_path / "old.out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    # below and above the 8 KiB write buffer when the output allows
+    for limit in sorted({len(fresh) // 3, max(len(fresh) - 100, 1)}):
+        out.write_bytes(b"\xff" * 2 * len(fresh))
+        proc = subprocess.run(
+            [sys.executable, "-c", FSIZE_CHILD, str(limit), *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {str(out)!r}")
+        assert out.read_bytes() == fresh[:limit]
 
 
 def test_verify_suites_pass(capsys):

@@ -308,6 +308,29 @@ def test_huge_periodic_parameters_wrap_before_the_index_cast(period):
         spline_eval(curve.freq, open_data, np.array([1e300]))
 
 
+WRAP_POINTS = np.array([
+    0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.25, -2.25, 7.999999999999999, -1e-300,
+    2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+    -(2.0 ** 53), -(2.0 ** 53) + 1, 2.0 ** 63, -(2.0 ** 63), 1e300, -1e300,
+    *np.random.default_rng(0).uniform(-1e3, 1e3, 200)])
+
+
+@pytest.mark.parametrize("period", [3, 5, 8])
+def test_periodic_span_indices_wrap_once_and_equal_two_wraps(period):
+    # the index of ceil(x) steps from that of floor(x); from 2^53 on the two
+    # are the same float, and both wraps must agree bitwise there as well
+    data = unit_circle(period).to_hermite_data()
+    n0, n1 = np.floor(WRAP_POINTS), np.ceil(WRAP_POINTS)
+    i0, i1 = data.span_indices(n0, n1)
+    assert i0.dtype == i1.dtype == np.intp
+    assert np.array_equal(i0, np.mod(n0, period).astype(np.intp))
+    assert np.array_equal(i1, np.mod(n1, period).astype(np.intp))
+    for x in WRAP_POINTS[:21]:
+        one = data.span_indices(np.floor(np.asarray(x)), np.ceil(np.asarray(x)))
+        assert [int(i) for i in one] == [int(np.mod(np.floor(x), period)),
+                                         int(np.mod(np.ceil(x), period))], x
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_eval_refuses_a_non_finite_float(t):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
