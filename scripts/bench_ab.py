@@ -2,7 +2,7 @@
 
 Usage:
     python scripts/bench_ab.py PARENT_DIR CHANGE_DIR --workload W[,W...]|all \\
-        --seeds A-B --seconds S [--record N]
+        --seeds A-B --seconds S [--record N] [--harness DIR]
 
 For every workload named (``all``: every workload of ``BENCHMARK.json``, in
 its order) and every seed in A..B, runs each checkout's own
@@ -23,6 +23,13 @@ directory, named after the commit CHANGE_DIR has checked out: every run's
 metrics, the summary and the machine facts.  An A/A run (the same directory
 twice) checks the tool itself.
 
+By default each side runs its own ``perfbench/`` and ``BENCHMARK.json``, and
+a warning says when they differ.  With ``--harness DIR`` both sides run the
+harness of DIR: each side gets a temporary root holding copies of DIR's
+``perfbench/`` and ``BENCHMARK.json`` and of that side's ``src/``, removed
+when the tool exits.  So a change to the benchmark itself can be paired
+against its parent.  The record then also names the commit of DIR.
+
 Exit codes: 0 done, 1 a benchmark run failed, 2 bad arguments.
 """
 
@@ -32,8 +39,10 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -72,6 +81,18 @@ def benchmark_files(root: str) -> dict[str, bytes]:
         with open(os.path.join(root, name), "rb") as fh:
             out[name] = fh.read()
     return out
+
+
+def harness_root(tmp: str, side: str, harness: str, checkout: str) -> str:
+    """A root under tmp that runs the src/ of checkout under the perfbench/
+    and BENCHMARK.json of harness."""
+    root = os.path.join(tmp, side)
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    shutil.copytree(os.path.join(harness, "perfbench"), os.path.join(root, "perfbench"),
+                    ignore=ignore)
+    shutil.copy(os.path.join(harness, "BENCHMARK.json"), root)
+    shutil.copytree(os.path.join(checkout, "src"), os.path.join(root, "src"), ignore=ignore)
+    return root
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -194,15 +215,16 @@ def run_pairs(roots: dict, workload: str, seeds: list[int], seconds: float) -> l
     return pairs
 
 
-def write_record(number: int, workload: str, args, roots: dict, same_benchmark: bool,
-                 pairs: list[dict], summary: dict) -> None:
-    states = {side: git_state(root) for side, root in roots.items()}
+def write_record(number: int, workload: str, args, checkouts: dict,
+                 same_benchmark: bool, pairs: list[dict], summary: dict) -> None:
+    states = {side: git_state(root) for side, root in checkouts.items()}
     sha7 = (states["change"]["head"] or "nogit")[:7]
     out = {
         "record": number, "workload": workload,
         "seeds": args.seeds, "seconds": args.seconds,
         "same_benchmark": same_benchmark,
         "parent": states["parent"], "change": states["change"],
+        "harness": git_state(args.harness) if args.harness else None,
         "machine": machine_facts(pairs[0]["parent"]["record"]),
         "summary": summary,
         "runs": [{"seed": p["seed"], "first": p["first"],
@@ -227,10 +249,27 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--record", type=int, metavar="N")
+    parser.add_argument("--harness", metavar="DIR",
+                        help="run both sides under the perfbench/ and "
+                             "BENCHMARK.json of DIR")
     args = parser.parse_args(argv)
-    roots = {"parent": os.path.abspath(args.parent_dir),
-             "change": os.path.abspath(args.change_dir)}
+    checkouts = {"parent": os.path.abspath(args.parent_dir),
+                 "change": os.path.abspath(args.change_dir)}
+    if args.harness is not None:
+        args.harness = os.path.abspath(args.harness)
+    with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
+        if args.harness is None:
+            roots = checkouts
+        else:
+            try:
+                roots = {side: harness_root(tmp, side, args.harness, checkout)
+                         for side, checkout in checkouts.items()}
+            except OSError as exc:
+                parser.error(f"cannot build a harness root: {exc}")
+        return run_all(parser, args, checkouts, roots)
 
+
+def run_all(parser, args, checkouts: dict, roots: dict) -> int:
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     try:
@@ -259,7 +298,7 @@ def main(argv=None) -> int:
             attempted = sum(p[side]["attempted"] for p in pairs)
             print(f"{side}: {failed} of {attempted} ops failed")
         if args.record is not None:
-            write_record(args.record, workload, args, roots, same_benchmark,
+            write_record(args.record, workload, args, checkouts, same_benchmark,
                          pairs, summary)
     return 0
 

@@ -1,6 +1,8 @@
 """Command-line behaviour: CSV/JSON/SVG output, exit codes, determinism,
 and cross-invocation consistency."""
 
+import builtins
+import io
 import json
 import math
 import os
@@ -723,6 +725,35 @@ def test_out_keeps_inode_mode_and_links_and_writes_through_a_symlink(tmp_path):
     assert after.st_nlink == 2
     assert sym.is_symlink()
     assert out.read_bytes() == link.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("command", ["basis", "render"])
+def test_out_is_truncated_to_its_bytes_after_they_are_written(tmp_path, monkeypatch,
+                                                              command):
+    # a truncate at position 0, with the bytes still in the write buffer,
+    # makes the close rewrite a file truncated to zero: on ext4 that is the
+    # flush-on-close path that writing in place avoids.  The basis CSV is
+    # shorter than the 8 KiB buffer, so only the explicit flush moves it.
+    sizes = []
+
+    class RecordingFileIO(io.FileIO):
+        def truncate(self, size=None):
+            sizes.append(self.tell() if size is None else size)
+            return super().truncate(size)
+
+    def recording_open(file, mode="r", *args, opener=None, **kwargs):
+        if mode != "wb":
+            return builtins.open(file, mode, *args, opener=opener, **kwargs)
+        return io.BufferedWriter(RecordingFileIO(file, mode, opener=opener))
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    argv = OUT_COMMANDS[command](str(write_circle(tmp_path)))
+    out = tmp_path / "old.out"
+    out.write_bytes(b"\xff" * 40000)
+    assert main([*argv, "--out", str(out)]) == 0
+    written = len(out.read_bytes())
+    assert (written < 8192) == (command == "basis")
+    assert sizes == [written]
 
 
 def test_subdivide_zero_levels_rewrites_its_own_input(tmp_path):

@@ -26,6 +26,7 @@ from exphermite import (
     scalar_refine_step,
     scalar_to_hermite,
 )
+import exphermite.subdivision as subdivision
 from exphermite.subdivision import _handle_offset
 from column_kernels import (
     column_hermite_to_scalar,
@@ -177,9 +178,17 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("w", [0.0, 1e-9, 0.8731, math.pi])
 @pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("tail", [(), (1,), (2,), (3,), (2, 2), (0,)])
-def test_lane_kernels_are_bitwise_the_column_kernels(tail, periodic, w):
+def test_lane_kernels_are_bitwise_the_column_kernels(monkeypatch, tail, periodic, w):
     freq = Frequency(w)
-    rng = np.random.default_rng([len(tail), sum(tail), periodic, int(w * 1e4)])
+    # the real block size runs each level here in one block; blocks of 1, 2
+    # and 5 spans give full, partial and wrap blocks at every level
+    for block in (subdivision._BLOCK, 1, 2, 5):
+        monkeypatch.setattr(subdivision, "_BLOCK", block)
+        rng = np.random.default_rng([len(tail), sum(tail), periodic, int(w * 1e4)])
+        _check_lane_kernels(freq, tail, periodic, rng, block)
+
+
+def _check_lane_kernels(freq, tail, periodic, rng, block):
     for n in ((1, 2, 6, 9) if periodic else (2, 3, 7)):
         scale = 10.0 ** rng.uniform(-3, 3)
         values = _salted(rng, (n,) + tail, scale)
@@ -192,18 +201,18 @@ def test_lane_kernels_are_bitwise_the_column_kernels(tail, periodic, w):
             for j in range(3):
                 rule = masks(freq, j)
                 lane, column = refine_step(lane, rule), column_refine_step(column, rule)
-                assert _same_bits(lane.values, column.values), (name, n, j)
-                assert _same_bits(lane.derivs, column.derivs), (name, n, j)
+                assert _same_bits(lane.values, column.values), (block, name, n, j)
+                assert _same_bits(lane.derivs, column.derivs), (block, name, n, j)
             lane = hermite_to_scalar(freq, 0, data)
             column = column_hermite_to_scalar(freq, 0, data)
-            assert _same_bits(lane.points, column.points), (name, n)
+            assert _same_bits(lane.points, column.points), (block, name, n)
             for j in range(3):
                 lane = scalar_refine_step(lane, freq)
                 column = column_scalar_refine_step(column, freq)
-                assert _same_bits(lane.points, column.points), (name, n, j)
+                assert _same_bits(lane.points, column.points), (block, name, n, j)
             for pts in _layouts(lane.points):
                 ctrl = ScalarControl(pts[1], lane.level, periodic)
                 back = scalar_to_hermite(freq, ctrl)
                 expected = column_scalar_to_hermite(freq, ctrl)
-                assert _same_bits(back.values, expected.values), (pts[0], n)
-                assert _same_bits(back.derivs, expected.derivs), (pts[0], n)
+                assert _same_bits(back.values, expected.values), (block, pts[0], n)
+                assert _same_bits(back.derivs, expected.derivs), (block, pts[0], n)

@@ -8,10 +8,12 @@ which moved its control points by at most 8.9e-16.  The eight subdivide and
 four basis digests were re-pinned when every frequency moved onto one
 evaluation path (scaled-kernel pieces, Horner-form series), which moved
 their numbers by at most 1.8e-15; the render digests, printed with fewer
-digits, did not move.  The four ``verify --suite all`` digests were pinned from
-commit 415e209, before the float routes of ``bezier``, ``greens`` and
-``curve.reproduction_errors`` were reworked, which must change no byte of
-that report.  The input documents are
+digits, did not move.  The two 12-level subdivide digests were pinned from
+commit ec636ca, the last commit that refined each level in one pass; their
+last step runs two blocks of the blocked kernels.  The four ``verify
+--suite all`` digests were pinned from commit 415e209, before the float
+routes of ``bezier``, ``greens`` and ``curve.reproduction_errors`` were
+reworked, which must change no byte of that report.  The input documents are
 written here with ``json.dumps``, so they do not depend on the serializer
 under test; one of them holds negative zeros, which the writers print as 0.
 """
@@ -72,14 +74,16 @@ CASES = (
     + [("render", name, str(samples)) for name in ("ellipse", "perturbed")
        for samples in (16, 64)]
     + [("basis", which, deriv) for which in ("1", "2") for deriv in ("", "deriv")]
+    # 12 levels on 6 nodes: the last step refines 12,288 spans in two blocks
+    + [("subdivide", "perturbed", scheme, "12") for scheme in ("vector", "scalar")]
 )
 
 
 def argv_for(case, paths):
-    command, a, b = case
+    command, a, b, *levels = case
     if command == "subdivide":
-        return ["subdivide", paths[a], "--levels", str(SUBDIVIDE_LEVELS[a]),
-                "--scheme", b]
+        return ["subdivide", paths[a], "--levels",
+                levels[0] if levels else str(SUBDIVIDE_LEVELS[a]), "--scheme", b]
     if command == "render":
         return ["render", paths[a], "--handles", "--samples-per-span", b]
     return (["basis", "--omega0", "3pi/4", "--which", a, "--range", "-1.5", "0",
@@ -119,6 +123,10 @@ GOLDEN = {
         "0512689c29155783e2899f68d530d45196c6a4f5a4bc2047ccf5224b01b1a979",
     ("basis", "2", "deriv"):
         "25a17af3b755af623f49ff6896869c7728c3ff30a40379f59f2f18adb5b99fd2",
+    ("subdivide", "perturbed", "vector", "12"):
+        "11ff96199bec87921c26277b7d7780170ebd9106fea3a6c9a4284dcb73905d5a",
+    ("subdivide", "perturbed", "scalar", "12"):
+        "7e9856b1602e81f999d2fab12d8a380f1ca1f2810b93bce4eb377da751ec819e",
 }
 
 
