@@ -255,8 +255,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent_dir),
                  "change": os.path.abspath(args.change_dir)}
-    if args.harness is not None:
-        args.harness = os.path.abspath(args.harness)
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         if args.harness is None:
             roots = checkouts
