@@ -13,10 +13,12 @@ Both kernels run on lanes: 1-D views of the data columns, in which a pair
 of adjacent coordinates is one complex128 element, and share one insertion
 kernel, ``_midpoints``, which forms each node's half-products once for the
 two spans that touch it.  Each level is refined in blocks of at most
-``_BLOCK`` spans (``_blocks``), so that a block's nodes, its output slots
-and the block-sized scratch stay in cache through every pass.  A midpoint
-depends only on its span's two end nodes and the level's rule, so the
-blocked output is bitwise that of one pass over the whole level.
+``_BLOCK`` spans, so that a block's nodes, its output slots and the
+block-sized scratch stay in cache through every pass.  The block of spans
+s..e-1 reads nodes s..e (node n of periodic data is node 0) and writes
+every slot of those nodes and spans, so node e is written by both blocks
+that share it.  A midpoint depends only on its span's two end nodes and
+the level's rule, so the output is bitwise that of one pass.
 """
 
 from __future__ import annotations
@@ -144,21 +146,6 @@ two fresh processes per size (2-core Xeon, Python 3.11.7, numpy 2.4.6):
 0.395/0.365 s, 2^15 0.461/0.417 s; one pass per level took 0.492/0.453 s."""
 
 
-def _blocks(v, d, spans: int):
-    """Blocks of at most ``_BLOCK`` consecutive spans of the lanes (v, d),
-    as (s, e, nodes s..e of v, nodes s..e of d) for the spans s..e-1.
-    ``spans == len(v)`` marks periodic data: its last span runs from the
-    last node back to node 0, so the last block gets node 0 appended (a
-    copy of at most ``_BLOCK + 1`` entries).  Every other block is a view."""
-    n = len(v)
-    for s in range(0, spans, _BLOCK):
-        e = min(s + _BLOCK, spans)
-        if e < n:
-            yield s, e, v[s:e + 1], d[s:e + 1]
-        else:
-            yield s, e, np.concatenate((v[s:], v[:1])), np.concatenate((d[s:], d[:1]))
-
-
 def _midpoints(rule, v, d, out_v, out_d, scratch) -> None:
     """Midpoint slots (value, deriv) of the len(v) - 1 spans of consecutive
     nodes of the lanes (v, d) for the rule (top, bot, diag) of ``masks``,
@@ -211,12 +198,14 @@ def refine_step(data: HermiteData, rule: tuple[float, float, float]) -> HermiteD
 
     The step runs on lanes (``_lanes``): on a plane curve both coordinates
     of a node are one complex128 element.  Each lane is refined in blocks
-    of at most ``_BLOCK`` spans: a block's even slots are copied and its
-    odd slots written while its nodes are in cache, with two scratch lanes
-    of ``_BLOCK + 1`` entries (128 KB each on a plane curve) in place of
-    two of n.  Each midpoint reads only its span's two nodes, so the blocks
-    give the bits of one pass.  The result is bitwise that of one float64
-    column per coordinate.  Complex + and - act on the real and
+    of at most ``_BLOCK`` spans, with two scratch lanes of ``_BLOCK + 1``
+    entries (128 KB each on a plane curve) in place of two of n.  The block
+    of spans s..e-1 copies nodes s..e to their even slots and writes its
+    odd slots while the nodes are in cache; node n of periodic data is
+    node 0, appended to a copy of the last block's nodes.  Node e is copied
+    by both blocks that share it and a midpoint reads only its span's two
+    nodes, so the blocks give the bits of one pass, which is bitwise one
+    float64 column per coordinate.  Complex + and - act on the real and
     imaginary parts apart, so each coordinate gets its float sum.  Complex
     times real is not bitwise the real products (its real part is
     x*f - y*0, which can flip the sign of a zero), so every product by
@@ -231,14 +220,17 @@ def refine_step(data: HermiteData, rule: tuple[float, float, float]) -> HermiteD
     values, derivs = _lanes(data.values), _lanes(data.derivs)
     scratch = [np.empty(min(spans, _BLOCK) + 1, values.dtype) for _ in range(2)]
     for v, d, ov, od in zip(values, derivs, _lanes(out_v), _lanes(out_d)):
-        for s, e, vb, db in _blocks(v, d, spans):
-            ov[2 * s:2 * e:2] = vb[:-1]
-            od[2 * s:2 * e:2] = db[:-1]
+        for s in range(0, spans, _BLOCK):
+            e = min(s + _BLOCK, spans)
+            # at e = n these stop at node n - 1: node 0's slot is block 0's
+            ov[2 * s:2 * e + 1:2] = v[s:e + 1]
+            od[2 * s:2 * e + 1:2] = d[s:e + 1]
+            if e < n:
+                vb, db = v[s:e + 1], d[s:e + 1]
+            else:
+                vb, db = np.concatenate((v[s:], v[:1])), np.concatenate((d[s:], d[:1]))
             _midpoints(rule, vb, db, ov[2 * s + 1:2 * e:2], od[2 * s + 1:2 * e:2],
                        scratch)
-        if not data.periodic:
-            ov[-1:] = v[-1:]
-            od[-1:] = d[-1:]
     return HermiteData(out_v, out_d, periodic=data.periodic)
 
 
@@ -348,17 +340,19 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     random M = 4 ellipses at L = 16 measure within 6 eps of the largest.
 
     Like ``refine_step`` the step runs on lanes, in blocks of at most
-    ``_BLOCK`` spans: a block's means and half-differences are formed and
-    all four slot groups of its nodes and midpoints written while it is in
-    cache.  The four scratch lanes (means, half-differences and the
-    kernel's two) hold ``_BLOCK + 1`` entries each, 512 KB together on a
-    plane curve, in place of four lanes of n.  A node's mean and
-    half-difference depend on its own two points alone, so a node shared by
-    two blocks gets the same bits in both.  The step is bitwise the float
-    column form: means, half-differences and slot writes are complex + and -,
-    which act on the two coordinates apart, and the products by 0.5,
-    half_ratio and the rule are taken on the float64 view of contiguous
-    scratch, since complex times real can flip the sign of a zero.
+    ``_BLOCK`` spans: the block of spans s..e-1 forms the means and
+    half-differences of nodes s..e, node n of periodic data being node 0,
+    and writes all four slot groups of those nodes and spans while they
+    are in cache.  Its output and four scratch lanes (means,
+    half-differences and the kernel's two) of ``_BLOCK + 1`` entries, 512 KB
+    together on a plane curve, are all the step allocates.  A node's mean
+    and half-difference depend on its own two points alone, so node e,
+    written by both blocks that share it, gets the same bits in both.  The
+    step is bitwise the float column form: means, half-differences and
+    slot writes are complex + and -, which act on the two coordinates
+    apart, and the products by 0.5, half_ratio and the rule are taken on
+    the float64 view of contiguous scratch, since complex times real can
+    flip the sign of a zero.
     """
     n = pts.node_count()
     _check_refinable(n, pts.periodic)
@@ -376,22 +370,27 @@ def scalar_refine_step(pts: ScalarControl, freq: Frequency) -> ScalarControl:
     mean, half, *scratch = [np.empty(min(spans, _BLOCK) + 1, points.dtype)
                             for _ in range(4)]
     for p, o in zip(points, _lanes(out)):
+        a, b = p[0::2], p[1::2]
         groups = [o[k::4] for k in range(4)]
-        for s, e, a, b in _blocks(p[0::2], p[1::2], spans):
+        for s in range(0, spans, _BLOCK):
+            e = min(s + _BLOCK, spans)
             k = e - s
             m, h = mean[:k + 1], half[:k + 1]
-            _times(np.add(a, b, out=m), 0.5, m)
-            _times(np.subtract(b, a, out=h), half_ratio, h)
-            np.subtract(m[:k], h[:k], out=groups[0][s:e])
-            np.add(m[:k], h[:k], out=groups[1][s:e])
+            # q of nodes s..e are in the lane; node n is node 0 (wrap span)
+            q = min(e + 1, n) - s
+            np.add(a[s:e + 1], b[s:e + 1], out=m[:q])
+            np.subtract(b[s:e + 1], a[s:e + 1], out=h[:q])
+            if e == n:
+                np.add(a[:1], b[:1], out=m[k:])
+                np.subtract(b[:1], a[:1], out=h[k:])
+            _times(m, 0.5, m)
+            _times(h, half_ratio, h)
+            np.subtract(m[:q], h[:q], out=groups[0][s:e + 1])
+            np.add(m[:q], h[:q], out=groups[1][s:e + 1])
             # the midpoint means are written over the block's first k
             # means, which the kernel has read for the last time by then
             mid_m, mid_half = m[:k], groups[3][s:e]
             _midpoints(rule, m, h, mid_m, mid_half, scratch)
             np.subtract(mid_m, mid_half, out=groups[2][s:e])
             np.add(mid_m, mid_half, out=mid_half)
-        if not pts.periodic:
-            # the last node's mean and half-difference are still in m[k:]
-            np.subtract(m[k:], h[k:], out=groups[0][n - 1:])
-            np.add(m[k:], h[k:], out=groups[1][n - 1:])
     return ScalarControl(out, j + 1, pts.periodic)

@@ -2,6 +2,7 @@
 derived scalar four-point scheme."""
 
 import math
+import tracemalloc
 from enum import IntEnum
 
 import mpmath as mp
@@ -25,6 +26,7 @@ from exphermite import (
     unit_circle,
 )
 from exphermite.subdivision import (
+    _BLOCK,
     MAX_LEVEL,
     _handle_offset,
     check_node_budget,
@@ -407,6 +409,39 @@ def test_scalar_step_out_writes_are_bitwise_the_assignment_form(periodic, shape)
             ctrl = scalar_refine_step(ctrl, f)
             assert ctrl.points.shape == expected.shape
             assert np.array_equal(ctrl.points.view(np.int64), expected.view(np.int64))
+
+
+def _traced_peak(call):
+    """(call(), the traced peak of the call above the memory traced
+    before it); numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_each_steps_scratch_is_block_sized(periodic):
+    # beyond its output, each step holds at most four lanes of
+    # min(spans, _BLOCK) + 1 complex entries: refine_step's two scratch
+    # lanes and its wrap-block copies of v and d, scalar_refine_step's means,
+    # half-differences and the kernel's two lanes; 8 KB of slack covers the
+    # Python objects of the views, lists and rule (about 4 KB measured)
+    rng = np.random.default_rng(3)
+    f = Frequency(1.0)
+    for n in (_BLOCK, 3 * _BLOCK + 5):
+        spans = n if periodic else n - 1
+        budget = 4 * (min(spans, _BLOCK) + 1) * 16 + 8192
+        data = HermiteData(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), periodic)
+        ctrl = hermite_to_scalar(f, 0, data)
+        rule = masks(f, 0)
+        out, peak = _traced_peak(lambda: refine_step(data, rule))
+        assert peak - out.values.nbytes - out.derivs.nbytes <= budget
+        out, peak = _traced_peak(lambda: scalar_refine_step(ctrl, f))
+        assert peak - out.points.nbytes <= budget
 
 
 def test_scalar_refine_keeps_constants():
